@@ -1,9 +1,8 @@
 """Serve e2e smoke: a real ``repro serve`` process, deduped over live HTTP.
 
-Unlike the other smokes (thin wrappers over registered perf cases -- the
-scheduler-level dedup measurement lives in
-:class:`repro.perf.cases.ServeCase`), this one exercises the full deployed
-shape: spawn ``python -m repro serve`` as a subprocess, submit the same
+The scheduler-level dedup measurement lives in
+:class:`repro.perf.cases.ServeCase`; this script exercises the full deployed
+shape instead: spawn ``python -m repro serve`` as a subprocess, submit the same
 ``scenario:banks`` job twice concurrently over HTTP, and assert through
 ``/metrics`` that exactly one pool execution happened and the duplicate
 completed flagged ``cached``, with a bit-identical record outside the

@@ -47,22 +47,14 @@ retained stage provably has only retained ancestors, its inputs are
 bit-identical to a cold evaluation, so the spliced result is too -- the
 goldens and the hypothesis suite in ``tests/analysis`` enforce exactly that.
 
-Batched candidate evaluation
-----------------------------
-:meth:`ClockNetworkEvaluator.evaluate_candidates` scores K independent
-candidate moves in one numpy pass by extending the corners x transitions
-batch axis of the analytical engines to candidates -- the same axis extension
-:meth:`evaluate_yield` applies to Monte Carlo samples.  Each move is applied
-under a journal checkpoint, its dirty stages are captured from
-:meth:`~repro.cts.tree.ClockTree.touched_since`, and the move is rolled back;
-the batched pass then propagates all candidates at once, with per-stage rows
-``[rise x K, fall x K]`` and the operation order mirrored from the scalar
-path so every :class:`CandidateScore` is bit-identical to a full
-:meth:`evaluate` of the same move.  Candidates that change the tree structure
-or a driver's polarity fall back to an honest full evaluation (counted in
-``cache_stats()['candidate_fallbacks']``).  Disable with
-``EvaluatorConfig.candidate_batching`` for A/B measurement; the serial path
-produces the same scores one full evaluation at a time.
+Monte Carlo batches
+-------------------
+:meth:`ClockNetworkEvaluator.evaluate_yield` extends the corners x
+transitions batch axis of the analytical engines to variation samples: one
+:func:`~repro.analysis.arnoldi.batched_tap_moments` call per stage and corner
+covers every sample, and the S-wide arrival/slew walk mirrors the scalar
+propagation operation for operation, so a zero-variance model reproduces
+:meth:`evaluate` bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +97,7 @@ from repro.analysis.spice import TransientSolverConfig, transient_stage_timing
 from repro.analysis.units import LN9
 from repro.analysis.variation import VariationModel, VariationSamples, YieldReport
 from repro.cts.bufferlib import BufferType
-from repro.cts.tree import ClockTree, TreeNode
+from repro.cts.tree import ClockTree
 from repro.obs import NULL_TRACER, TracerBase
 from repro.seeding import derive_rng
 
@@ -113,8 +105,6 @@ __all__ = [
     "EvaluatorConfig",
     "CornerTiming",
     "EvaluationReport",
-    "CandidateScore",
-    "CandidateBatch",
     "StageCache",
     "ClockNetworkEvaluator",
 ]
@@ -163,11 +153,6 @@ class EvaluatorConfig:
         them, splicing retained per-stage results back in verbatim (see the
         module docstring).  Requires ``incremental``; results are bit-identical
         to a full propagation.  Disable for A/B measurement.
-    candidate_batching:
-        Let :meth:`ClockNetworkEvaluator.evaluate_candidates` score all
-        candidate moves in one batched numpy pass (analytical engines only).
-        When disabled the same API scores candidates one full evaluation at a
-        time, with identical results.  Disable for A/B measurement.
     """
 
     engine: str = "spice"
@@ -181,7 +166,6 @@ class EvaluatorConfig:
     solver: TransientSolverConfig = field(default_factory=TransientSolverConfig)
     incremental: bool = True
     dirty_region: bool = True
-    candidate_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in ("elmore", "arnoldi", "spice"):
@@ -315,66 +299,6 @@ class EvaluationReport:
         }
 
 
-@dataclass(frozen=True)
-class CandidateScore:
-    """Timing score of one candidate move from :meth:`evaluate_candidates`.
-
-    Exposes the same objective fields (``skew``, ``clr``, ``max_latency``,
-    ``worst_slew``, ``total_capacitance``, ``wirelength``) and constraint
-    predicates (``has_slew_violation``, ``within_capacitance_limit``) as
-    :class:`EvaluationReport`, so objective functions and IVC constraint
-    callables accept either.  ``changed`` is the move's reported edge count
-    (0 means the move was vacuous and the score fields are meaningless);
-    ``batched`` records whether the score came from the batched numpy pass or
-    from a full fallback evaluation.
-    """
-
-    index: int
-    changed: int
-    skew: float
-    clr: float
-    max_latency: float
-    worst_slew: float
-    total_capacitance: float
-    wirelength: float
-    slew_limit: float
-    capacitance_limit: Optional[float]
-    batched: bool
-
-    @property
-    def has_slew_violation(self) -> bool:
-        return self.worst_slew > self.slew_limit
-
-    @property
-    def within_capacitance_limit(self) -> bool:
-        if self.capacitance_limit is None:
-            return True
-        return self.total_capacitance <= self.capacitance_limit
-
-
-@dataclass
-class CandidateBatch:
-    """Scores of one :meth:`evaluate_candidates` call, in move order.
-
-    ``batched`` counts candidates scored by the batched numpy pass and
-    ``fallbacks`` those that required a full evaluation (structure or driver
-    polarity changed); vacuous candidates (``changed == 0``) count in neither.
-    """
-
-    scores: List[CandidateScore]
-    batched: int
-    fallbacks: int
-
-    def __iter__(self) -> Iterator[CandidateScore]:
-        return iter(self.scores)
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __getitem__(self, index: int) -> CandidateScore:
-        return self.scores[index]
-
-
 # Content key of one stage: (driver head, ((edge id, edge revision), ...)).
 _StageKey = Tuple[tuple, tuple]
 # Per-stage analytical model: {(corner, transition): {tap: (delay, sigma)}}.
@@ -432,160 +356,6 @@ class _PropagationState:
         self.structure_revision = structure_revision
         self.keys = keys
         self.fragments = fragments
-
-
-class _CandidateCapture:
-    """What one applied-then-rolled-back candidate move left behind.
-
-    ``dirty_moments``/``dirty_drivers`` hold the re-reduced base moments and
-    the live driver for each stage the move touched; every other stage reuses
-    the shared base-tree reduction in the batched pass.
-    """
-
-    __slots__ = (
-        "index",
-        "changed",
-        "dirty_moments",
-        "dirty_drivers",
-        "total_capacitance",
-        "wirelength",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        changed: int,
-        dirty_moments: Dict[int, BaseTapMoments],
-        dirty_drivers: Dict[int, _Driver],
-        total_capacitance: float,
-        wirelength: float,
-    ) -> None:
-        self.index = index
-        self.changed = changed
-        self.dirty_moments = dirty_moments
-        self.dirty_drivers = dirty_drivers
-        self.total_capacitance = total_capacitance
-        self.wirelength = wirelength
-
-
-def _node_contribution(node: TreeNode) -> Tuple[float, float, float, float]:
-    """One node's (wire cap, buffer cap, sink cap, edge length) contributions.
-
-    Mirrors the accumulation conditions of
-    :meth:`~repro.cts.tree.ClockTree.total_capacitance` and
-    :meth:`~repro.cts.tree.ClockTree.total_wirelength` exactly.
-    """
-    if node.parent is not None and node.wire_type is not None:
-        wire = node.wire_type.capacitance(node.route_length() + node.snake_length)
-    else:
-        wire = 0.0
-    buffers = node.buffer.total_cap if node.buffer is not None else 0.0
-    sinks = node.sink.capacitance if node.sink is not None and node.is_sink else 0.0
-    length = node.edge_length() if node.parent is not None else 0.0
-    return wire, buffers, sinks, length
-
-
-class _CandidateTotals:
-    """Per-node contribution template for candidate capacitance/wirelength.
-
-    ``total_capacitance``/``total_wirelength`` walk every node, but a
-    candidate move touches a handful.  The template records every node's
-    contributions in node-table order once per batch; a candidate's totals
-    substitute the touched nodes' current contributions and re-sum in the
-    same order, which is bit-identical to the full walk (untouched nodes
-    contribute the exact same floats, non-contributing nodes exact zeros,
-    and adding 0.0 is exact).
-    """
-
-    __slots__ = ("pos", "wire", "buffers", "sinks", "lengths")
-
-    def __init__(self, tree: ClockTree) -> None:
-        self.pos: Dict[int, int] = {}
-        self.wire: List[float] = []
-        self.buffers: List[float] = []
-        self.sinks: List[float] = []
-        self.lengths: List[float] = []
-        for index, node in enumerate(tree.nodes()):
-            self.pos[node.node_id] = index
-            wire, buffers, sinks, length = _node_contribution(node)
-            self.wire.append(wire)
-            self.buffers.append(buffers)
-            self.sinks.append(sinks)
-            self.lengths.append(length)
-
-    def candidate_totals(
-        self, tree: ClockTree, touched: Iterable[int]
-    ) -> Tuple[float, float]:
-        """(total capacitance, wirelength) of ``tree`` with a move applied."""
-        saved: List[Tuple[int, float, float, float, float]] = []
-        for node_id in touched:
-            index = self.pos.get(node_id)
-            if index is None:
-                continue
-            saved.append(
-                (
-                    index,
-                    self.wire[index],
-                    self.buffers[index],
-                    self.sinks[index],
-                    self.lengths[index],
-                )
-            )
-            wire, buffers, sinks, length = _node_contribution(tree.node(node_id))
-            self.wire[index] = wire
-            self.buffers[index] = buffers
-            self.sinks[index] = sinks
-            self.lengths[index] = length
-        try:
-            total_capacitance = sum(self.wire) + sum(self.buffers) + sum(self.sinks)
-            wirelength = sum(self.lengths)
-        finally:
-            for index, wire, buffers, sinks, length in saved:
-                self.wire[index] = wire
-                self.buffers[index] = buffers
-                self.sinks[index] = sinks
-                self.lengths[index] = length
-        return total_capacitance, wirelength
-
-
-class _BatchPlan:
-    """Corner-independent precompute for one batched candidate scoring pass.
-
-    Holds, per closure stage, the variant delay/sigma row stacks covering
-    every (corner, transition) combination, the per-candidate variant index,
-    the per-candidate intrinsic delays, and the sink/buffer tap columns --
-    everything the per-corner propagation only has to slice, so no moment
-    reduction runs more than once per stage variant.
-    """
-
-    __slots__ = (
-        "n",
-        "closure",
-        "closure_set",
-        "boundary",
-        "seed_stages",
-        "delay",
-        "sigma",
-        "variant_of",
-        "intrinsic",
-        "sink_cols",
-        "buffer_cols",
-        "tap_ids",
-    )
-
-    def __init__(self, n: int, closure: List[int]) -> None:
-        self.n = n
-        self.closure = closure
-        self.closure_set: Set[int] = set(closure)
-        self.boundary: Set[int] = set()
-        self.seed_stages: List[int] = []
-        self.delay: Dict[int, np.ndarray] = {}
-        self.sigma: Dict[int, np.ndarray] = {}
-        self.variant_of: Dict[int, np.ndarray] = {}
-        self.intrinsic: Dict[int, Optional[np.ndarray]] = {}
-        self.sink_cols: Dict[int, List[int]] = {}
-        self.buffer_cols: Dict[int, List[int]] = {}
-        self.tap_ids: Dict[int, Tuple[int, ...]] = {}
 
 
 class StageCache:
@@ -749,8 +519,7 @@ class ClockNetworkEvaluator:
     of a snapshot sharing its revisions) are re-analyzed.  With
     ``dirty_region`` enabled, arrival/slew propagation is likewise restricted
     to the changed stages and their downstream cone (see the module
-    docstring); :meth:`evaluate_candidates` scores whole batches of moves in
-    one numpy pass.  All three layers are bit-identical to cold evaluation.
+    docstring).  Both layers are bit-identical to cold evaluation.
     """
 
     def __init__(
@@ -782,18 +551,10 @@ class ClockNetworkEvaluator:
         # (surfaced through cache_stats() so reported speedups stay
         # attributable to the layer that produced them).
         self._prop: Optional[_PropagationState] = None
-        # Candidate-totals template, reusable while the tree content (stage
-        # keys) and structure are unchanged between evaluate_candidates calls.
-        self._totals_cache: Optional[
-            Tuple[int, List[Optional[_StageKey]], _CandidateTotals]
-        ] = None
         self._propagations_full = 0
         self._propagations_partial = 0
         self._stages_propagated = 0
         self._stages_total = 0
-        self.candidate_batches = 0
-        self.candidates_scored = 0
-        self.candidate_fallbacks = 0
         # One batched scaling row per (corner, transition) combination.
         self._combos: List[Tuple[str, str]] = []
         driver_scales: List[float] = []
@@ -979,567 +740,19 @@ class ClockNetworkEvaluator:
         return corner_results, fragments
 
     def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/size statistics of the stage cache plus propagation and
-        candidate-batching attribution counters (see the module docstring)."""
+        """Hit/miss/size statistics of the stage cache plus the propagation
+        attribution counters (see the module docstring)."""
         stats = self.cache.stats()
         stats["propagations_full"] = self._propagations_full
         stats["propagations_partial"] = self._propagations_partial
         stats["stages_propagated"] = self._stages_propagated
         stats["stages_total"] = self._stages_total
-        stats["candidate_batches"] = self.candidate_batches
-        stats["candidates_scored"] = self.candidates_scored
-        stats["candidate_fallbacks"] = self.candidate_fallbacks
         return stats
 
     def clear_cache(self) -> None:
         """Drop all cached stage analyses (results are unaffected)."""
         self.cache.clear()
         self._prop = None
-        self._totals_cache = None
-
-    # ------------------------------------------------------------------
-    # Batched candidate evaluation
-    # ------------------------------------------------------------------
-    def evaluate_candidates(
-        self, tree: ClockTree, moves: Sequence[Callable[[], int]]
-    ) -> CandidateBatch:
-        """Score independent candidate moves against the current tree.
-
-        Each ``move`` is a callable that mutates ``tree`` and returns the
-        number of edges it changed (0 for a vacuous move).  Every move is
-        applied under a journal checkpoint and rolled back before the next
-        one, so ``tree`` is returned unchanged; the scores say what *would*
-        happen if the move were committed, bit-identical to applying the move
-        and calling :meth:`evaluate`.
-
-        With ``candidate_batching`` enabled and an analytical engine, all
-        structure-preserving moves are scored in one numpy pass over the
-        candidates axis (see the module docstring); moves that change the
-        tree structure or a driver's polarity fall back to a full evaluation.
-        Otherwise every move is scored by a full evaluation -- same results,
-        one evaluation per candidate.
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._evaluate_candidates_inner(tree, moves)
-        with tracer.span("candidate_batch") as span:
-            batch = self._evaluate_candidates_inner(tree, moves)
-            if span is not None:
-                span.count("candidates", len(moves))
-                span.count("batched", batch.batched)
-                span.count("fallbacks", batch.fallbacks)
-        return batch
-
-    def _evaluate_candidates_inner(
-        self, tree: ClockTree, moves: Sequence[Callable[[], int]]
-    ) -> CandidateBatch:
-        if not moves:
-            return CandidateBatch(scores=[], batched=0, fallbacks=0)
-        cfg = self.config
-        batchable = (
-            cfg.candidate_batching
-            and cfg.incremental
-            and cfg.engine in ("elmore", "arnoldi")
-        )
-        if not batchable:
-            return CandidateBatch(
-                scores=[
-                    self._serial_candidate(tree, index, move)
-                    for index, move in enumerate(moves)
-                ],
-                batched=0,
-                fallbacks=0,
-            )
-        topo = self.cache.topology(tree)
-        stages = topo.stages
-        keys, drivers = self._stage_keys(tree, stages)
-        # Candidate scoring piggybacks on the dirty-region snapshot: with a
-        # fragment list for the base tree, only the union of the candidates'
-        # dirty closures has to be propagated K-wide and the retained
-        # extremes come from the snapshot.  Refresh the snapshot if the tree
-        # moved since the last evaluate (cheap -- itself a partial pass).
-        prior = self._prop
-        if cfg.dirty_region and (
-            prior is None
-            or prior.structure_revision != tree.structure_revision
-            or prior.keys != keys
-        ):
-            self.evaluate(tree)
-            prior = self._prop
-        if prior is not None and (
-            prior.structure_revision != tree.structure_revision
-            or prior.keys != keys
-        ):
-            prior = None  # snapshot could not be refreshed (dirty_region off)
-        base_revision = tree.structure_revision
-        cached_totals = self._totals_cache
-        if (
-            cached_totals is not None
-            and cached_totals[0] == base_revision
-            and cached_totals[1] == keys
-        ):
-            totals = cached_totals[2]
-        else:
-            totals = _CandidateTotals(tree)
-            self._totals_cache = (base_revision, keys, totals)
-        results: List[Optional[CandidateScore]] = [None] * len(moves)
-        captures: List[_CandidateCapture] = []
-        fallbacks = 0
-        for index, move in enumerate(moves):
-            token = tree.checkpoint()
-            try:
-                changed = move()
-                if changed == 0:
-                    results[index] = self._vacuous_score(index)
-                    continue
-                capture = self._capture_candidate(
-                    tree, token, index, changed, stages, drivers, base_revision,
-                    topo, totals,
-                )
-                if capture is None:
-                    # Structure or driver polarity changed: score honestly
-                    # with a full evaluation while the move is applied.
-                    fallbacks += 1
-                    self.candidate_fallbacks += 1
-                    report = self.evaluate(tree)
-                    results[index] = self._score_from_report(
-                        index, changed, report, batched=False
-                    )
-                else:
-                    captures.append(capture)
-            finally:
-                tree.rollback_to(token)
-        if captures:
-            self.candidate_batches += 1
-            self.candidates_scored += len(captures)
-            # K-wide propagation only has to walk the union of the captured
-            # dirty frontiers closed downstream; with a snapshot available the
-            # retained remainder is spliced in as scalars.  Without one (the
-            # dirty_region toggle is off) the closure is the whole tree.
-            union_dirty: Set[int] = set()
-            for capture in captures:
-                union_dirty.update(capture.dirty_moments)
-            if prior is not None:
-                closure = self._downstream_closure(union_dirty, topo)
-            else:
-                closure = list(range(len(stages)))
-            base_moments = {
-                index: self._stage_base_moments(
-                    tree, stages[index], keys[index], self._split_caps, count=False
-                )
-                for index in closure
-            }
-            for capture, score in zip(
-                captures,
-                self._batched_scores(
-                    stages,
-                    drivers,
-                    topo,
-                    closure,
-                    base_moments,
-                    captures,
-                    None if prior is None else prior.fragments,
-                ),
-            ):
-                results[capture.index] = score
-        scores: List[CandidateScore] = []
-        for result in results:
-            assert result is not None  # every index filled above
-            scores.append(result)
-        return CandidateBatch(scores=scores, batched=len(captures), fallbacks=fallbacks)
-
-    def _serial_candidate(
-        self, tree: ClockTree, index: int, move: Callable[[], int]
-    ) -> CandidateScore:
-        token = tree.checkpoint()
-        try:
-            changed = move()
-            if changed == 0:
-                return self._vacuous_score(index)
-            report = self.evaluate(tree)
-            return self._score_from_report(index, changed, report, batched=False)
-        finally:
-            tree.rollback_to(token)
-
-    def _vacuous_score(self, index: int) -> CandidateScore:
-        return CandidateScore(
-            index=index,
-            changed=0,
-            skew=0.0,
-            clr=0.0,
-            max_latency=0.0,
-            worst_slew=0.0,
-            total_capacitance=0.0,
-            wirelength=0.0,
-            slew_limit=self.config.slew_limit,
-            capacitance_limit=self.capacitance_limit,
-            batched=False,
-        )
-
-    def _score_from_report(
-        self, index: int, changed: int, report: EvaluationReport, batched: bool
-    ) -> CandidateScore:
-        return CandidateScore(
-            index=index,
-            changed=changed,
-            skew=report.skew,
-            clr=report.clr,
-            max_latency=report.max_latency,
-            worst_slew=report.worst_slew,
-            total_capacitance=report.total_capacitance,
-            wirelength=report.wirelength,
-            slew_limit=report.slew_limit,
-            capacitance_limit=report.capacitance_limit,
-            batched=batched,
-        )
-
-    def _capture_candidate(
-        self,
-        tree: ClockTree,
-        token: int,
-        index: int,
-        changed: int,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        base_revision: int,
-        topo: StageTopology,
-        totals: _CandidateTotals,
-    ) -> Optional[_CandidateCapture]:
-        """Capture an applied move's dirty stages, or None to force fallback."""
-        if tree.structure_revision != base_revision:
-            return None
-        touched = tree.touched_since(token)
-        dirty_stages: Set[int] = set()
-        for node_id in touched:
-            stage_index = topo.stage_of_edge.get(node_id)
-            if stage_index is not None:
-                dirty_stages.add(stage_index)
-            stage_index = topo.stage_of_driver.get(node_id)
-            if stage_index is not None:
-                dirty_stages.add(stage_index)
-        revisions = tree.node_revisions
-        dirty_moments: Dict[int, BaseTapMoments] = {}
-        dirty_drivers: Dict[int, _Driver] = {}
-        for stage_index in dirty_stages:
-            stage = stages[stage_index]
-            base_buffer = drivers[stage_index]
-            key, buffer = self._stage_key(tree, stage, revisions)
-            if (buffer is None) != (base_buffer is None):
-                return None
-            if (
-                buffer is not None
-                and base_buffer is not None
-                and buffer.inverting != base_buffer.inverting
-            ):
-                return None
-            dirty_moments[stage_index] = self._stage_base_moments(
-                tree, stage, key, self._split_caps, count=False
-            )
-            dirty_drivers[stage_index] = buffer
-        total_capacitance, wirelength = totals.candidate_totals(tree, touched)
-        return _CandidateCapture(
-            index=index,
-            changed=changed,
-            dirty_moments=dirty_moments,
-            dirty_drivers=dirty_drivers,
-            total_capacitance=total_capacitance,
-            wirelength=wirelength,
-        )
-
-    def _batched_scores(
-        self,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        topo: StageTopology,
-        closure: List[int],
-        base_moments: Dict[int, BaseTapMoments],
-        captures: List[_CandidateCapture],
-        prior_frags: Optional[Dict[str, List[_StageFrag]]],
-    ) -> List[CandidateScore]:
-        """Score every captured candidate in one batched pass per corner.
-
-        The skew/CLR/latency/slew extraction below mirrors the corresponding
-        :class:`EvaluationReport` properties operation for operation, so the
-        resulting floats are bit-identical to a full evaluation of each move.
-        """
-        plan = self._batch_plan(
-            stages, drivers, topo, closure, base_moments, captures,
-            retained=prior_frags is not None,
-        )
-        per_corner = {
-            corner.name: self._candidate_corner(
-                stages,
-                drivers,
-                corner,
-                2 * position,
-                plan,
-                None if prior_frags is None else prior_frags[corner.name],
-            )
-            for position, corner in enumerate(self.corners)
-        }
-        fast = per_corner[self._fast]
-        slow = per_corner[self._slow]
-        skew = np.maximum(
-            fast["max"][RISE] - fast["min"][RISE], fast["max"][FALL] - fast["min"][FALL]
-        )
-        clr = np.maximum(
-            slow["max"][RISE] - fast["min"][RISE], slow["max"][FALL] - fast["min"][FALL]
-        )
-        max_latency = np.maximum(slow["max"][RISE], slow["max"][FALL])
-        worst_slew = per_corner[self.corners[0].name]["slew"]
-        for corner in self.corners[1:]:
-            worst_slew = np.maximum(worst_slew, per_corner[corner.name]["slew"])
-        return [
-            CandidateScore(
-                index=capture.index,
-                changed=capture.changed,
-                skew=float(skew[column]),
-                clr=float(clr[column]),
-                max_latency=float(max_latency[column]),
-                worst_slew=float(worst_slew[column]),
-                total_capacitance=capture.total_capacitance,
-                wirelength=capture.wirelength,
-                slew_limit=self.config.slew_limit,
-                capacitance_limit=self.capacitance_limit,
-                batched=True,
-            )
-            for column, capture in enumerate(captures)
-        ]
-
-    def _downstream_closure(
-        self, dirty: Set[int], topo: StageTopology
-    ) -> List[int]:
-        """Dirty stage indices closed over downstream stages, in stage order.
-
-        The stage list is topological (parents before children), so the
-        sorted closure can be propagated by increasing index.
-        """
-        closure: Set[int] = set()
-        stack = list(dirty)
-        while stack:
-            index = stack.pop()
-            if index in closure:
-                continue
-            closure.add(index)
-            stack.extend(topo.children[index])
-        return sorted(closure)
-
-    def _batch_plan(
-        self,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        topo: StageTopology,
-        closure: List[int],
-        base_moments: Dict[int, BaseTapMoments],
-        captures: List[_CandidateCapture],
-        retained: bool,
-    ) -> _BatchPlan:
-        """Corner-independent precompute shared by every corner's propagation.
-
-        One moment/delay reduction per stage variant covers all (corner,
-        transition) rows at once (the same row layout as the cached tap
-        models), so the per-corner walks only slice.
-        """
-        use_d2m = self.config.engine == "arnoldi"
-        tap_flags = topo.tap_flags
-        plan = _BatchPlan(len(captures), closure)
-        n = plan.n
-        for index in closure:
-            buffer = drivers[index]
-            plan.boundary.add(stages[index].driver_id)
-            variant_moments: List[BaseTapMoments] = [base_moments[index]]
-            variant_of = np.zeros(n, dtype=np.intp)
-            for column, capture in enumerate(captures):
-                moments = capture.dirty_moments.get(index)
-                if moments is not None:
-                    variant_of[column] = len(variant_moments)
-                    variant_moments.append(moments)
-            delays: List[np.ndarray] = []
-            sigmas: List[np.ndarray] = []
-            for moments in variant_moments:
-                m1, m2 = batched_tap_moments(moments, *self._combo_scales)
-                delay_rows, sigma_rows = batched_delay_sigma(m1, m2, use_d2m=use_d2m)
-                delays.append(delay_rows)
-                sigmas.append(sigma_rows)
-            plan.delay[index] = np.stack(delays)  # (variants, combos, taps)
-            plan.sigma[index] = np.stack(sigmas)
-            plan.variant_of[index] = variant_of
-            if buffer is None:
-                plan.intrinsic[index] = None
-            else:
-                values = np.empty(n)
-                for column, capture in enumerate(captures):
-                    driver = capture.dirty_drivers.get(index, buffer)
-                    assert driver is not None  # presence is uniform (fallback)
-                    values[column] = driver.intrinsic_delay
-                plan.intrinsic[index] = values
-            tap_ids = base_moments[index].tap_ids
-            plan.tap_ids[index] = tap_ids
-            plan.sink_cols[index] = [
-                col for col, tap in enumerate(tap_ids) if tap_flags[tap][0]
-            ]
-            plan.buffer_cols[index] = [
-                col for col, tap in enumerate(tap_ids) if tap_flags[tap][1]
-            ]
-        if retained:
-            # Retained stages whose outputs feed a closure stage: the only
-            # fragments boundary seeding has to scan.
-            seen: Set[int] = set()
-            for index in closure:
-                parent = topo.stage_of_edge.get(stages[index].driver_id)
-                if (
-                    parent is not None
-                    and parent not in plan.closure_set
-                    and parent not in seen
-                ):
-                    seen.add(parent)
-                    plan.seed_stages.append(parent)
-        return plan
-
-    def _candidate_corner(
-        self,
-        stages: List[Stage],
-        drivers: List[_Driver],
-        corner: Corner,
-        rise_row: int,
-        plan: _BatchPlan,
-        prior_frags: Optional[List[_StageFrag]],
-    ) -> Dict:
-        """Vectorized arrival/slew propagation of all candidates at one corner.
-
-        The candidates axis replaces :meth:`_propagate_corner`'s scalars with
-        length-``K`` arrays, exactly like :meth:`_corner_yield` does for
-        Monte Carlo samples; the operation order matches the scalar path so
-        unit rows keep bit parity.  Only the closure stages (the union of
-        the candidates' dirty frontiers, closed downstream) are walked:
-        stages outside it time identically for every candidate, so their
-        boundary outputs seed the closure inputs and their sink/slew extremes
-        enter as scalars read off the snapshot fragments.  That splice is
-        bit-exact because the max/min over closure sinks merged with the
-        retained extremes equals the global max/min.  Stages a candidate left
-        untouched index into the shared base-tree rows; dirty stages get
-        their own variant rows.  Driver presence and polarity are uniform
-        across candidates by construction (divergent moves fell back), so
-        direction tracking stays scalar.
-        """
-        cfg = self.config
-        n = plan.n
-        fall_row = rise_row + 1
-        closure = plan.closure
-        closure_set = plan.closure_set
-        stage_delay: Dict[int, np.ndarray] = {}
-        stage_sigma: Dict[int, np.ndarray] = {}
-        for index in closure:
-            variant_of = plan.variant_of[index]
-            # Candidate rows [rise x n, fall x n], mirroring _corner_yield.
-            stage_delay[index] = np.concatenate(
-                (
-                    plan.delay[index][variant_of, rise_row, :],
-                    plan.delay[index][variant_of, fall_row, :],
-                )
-            )
-            stage_sigma[index] = np.concatenate(
-                (
-                    plan.sigma[index][variant_of, rise_row, :],
-                    plan.sigma[index][variant_of, fall_row, :],
-                )
-            )
-
-        # Retained contribution: every stage outside the closure times
-        # identically for all candidates, so its extremes are scalars.
-        ret_max = {t: -np.inf for t in _TRANSITIONS}
-        ret_min = {t: np.inf for t in _TRANSITIONS}
-        ret_slew = 0.0
-        if prior_frags is not None:
-            for index, frag in enumerate(prior_frags):
-                if index in closure_set:
-                    continue
-                for per_sink in frag.latency.values():
-                    for transition, value in per_sink.items():
-                        if value > ret_max[transition]:
-                            ret_max[transition] = value
-                        if value < ret_min[transition]:
-                            ret_min[transition] = value
-                for per_tap in frag.tap_slew.values():
-                    for value in per_tap.values():
-                        if value > ret_slew:
-                            ret_slew = value
-
-        root_id = stages[0].driver_id
-        max_lat = {t: np.full(n, ret_max[t]) for t in _TRANSITIONS}
-        min_lat = {t: np.full(n, ret_min[t]) for t in _TRANSITIONS}
-        worst_slew = np.full(n, ret_slew)
-        boundary = plan.boundary
-        for launch in _TRANSITIONS:
-            arrival_at: Dict[int, Union[float, np.ndarray]] = {root_id: 0.0}
-            slew_at: Dict[int, Union[float, np.ndarray]] = {
-                root_id: cfg.source_slew
-            }
-            direction_at: Dict[int, str] = {root_id: launch}
-            if prior_frags is not None:
-                # Closure-boundary inputs come from retained-stage outputs;
-                # scalars here broadcast against the K-wide rows below.
-                for index in plan.seed_stages:
-                    for tap, arrival, slew, output_dir in (
-                        prior_frags[index].outputs[launch]
-                    ):
-                        if tap in boundary:
-                            arrival_at[tap] = arrival
-                            slew_at[tap] = slew
-                            direction_at[tap] = output_dir
-            for index in closure:
-                stage = stages[index]
-                buffer = drivers[index]
-                input_arrival = arrival_at[stage.driver_id]
-                input_slew = slew_at[stage.driver_id]
-                input_dir = direction_at[stage.driver_id]
-                if buffer is not None and buffer.inverting:
-                    output_dir = FALL if input_dir == RISE else RISE
-                else:
-                    output_dir = input_dir
-                gate_delay: Union[float, np.ndarray]
-                stage_intrinsic = plan.intrinsic[index]
-                if buffer is None or stage_intrinsic is None:
-                    drive_slew = input_slew
-                    gate_delay = 0.0
-                else:
-                    drive_slew = cfg.buffer_slew_regeneration * input_slew
-                    gate_delay = (
-                        stage_intrinsic * corner.driver_scale
-                        + cfg.slew_delay_factor * input_slew
-                    )
-                row0 = 0 if output_dir == RISE else n
-                base_arrival = input_arrival + gate_delay
-                if isinstance(base_arrival, np.ndarray):
-                    base_arrival = base_arrival[:, None]
-                drive_sq = drive_slew * drive_slew
-                if isinstance(drive_sq, np.ndarray):
-                    drive_sq = drive_sq[:, None]
-                delay = stage_delay[index][row0 : row0 + n, :]
-                sigma = stage_sigma[index][row0 : row0 + n, :]
-                tap_arrival = base_arrival + delay  # (n, taps)
-                wire_slew = LN9 * sigma
-                tap_slew_value = (wire_slew * wire_slew + drive_sq) ** 0.5
-                if tap_slew_value.shape[1]:
-                    np.maximum(
-                        worst_slew, tap_slew_value.max(axis=1), out=worst_slew
-                    )
-                cols = plan.sink_cols[index]
-                if cols:
-                    sinks = tap_arrival[:, cols]
-                    np.maximum(
-                        max_lat[output_dir], sinks.max(axis=1), out=max_lat[output_dir]
-                    )
-                    np.minimum(
-                        min_lat[output_dir], sinks.min(axis=1), out=min_lat[output_dir]
-                    )
-                tap_ids = plan.tap_ids[index]
-                for col in plan.buffer_cols[index]:
-                    tap = tap_ids[col]
-                    arrival_at[tap] = tap_arrival[:, col]
-                    slew_at[tap] = tap_slew_value[:, col]
-                    direction_at[tap] = output_dir
-        return {"max": max_lat, "min": min_lat, "slew": worst_slew}
 
     # ------------------------------------------------------------------
     # Monte Carlo variation evaluation
@@ -1833,11 +1046,10 @@ class ClockNetworkEvaluator:
     ) -> BaseTapMoments:
         """The stage's corner-independent moment reduction, cached by content.
 
-        Shared by the per-corner tap models of :meth:`evaluate`, the Monte
-        Carlo batches of :meth:`evaluate_yield` and the candidate batches of
-        :meth:`evaluate_candidates`, so whichever runs first pays for the
-        numpy reduction and the others reuse it for every stage whose RC
-        content is unchanged.
+        Shared by the per-corner tap models of :meth:`evaluate` and the Monte
+        Carlo batches of :meth:`evaluate_yield`, so whichever runs first pays
+        for the numpy reduction and the other reuses it for every stage whose
+        RC content is unchanged.
         """
         cache_key = (key, split) if key is not None else None
         if cache_key is not None:
@@ -2038,7 +1250,7 @@ class ClockNetworkEvaluator:
             # upstream slew wiggle produces a fresh key for every downstream
             # stage ("float-key thrash") -- dirty-region propagation sidesteps
             # the repeated lookups for retained stages, and the measured hit
-            # rates before/after are recorded by benchmarks/propagation_smoke.
+            # rates before/after are recorded by the ``propagation`` perf case.
             timing_key = (key, corner.name, output_dir, drive_slew)
             cached = self.cache.timing(timing_key)
             if cached is not None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.variation import SAMPLING_FAMILIES
+from repro.core.pipeline import lookup_pass
 from repro.scenarios import expand_families
 
 __all__ = [
@@ -64,8 +65,9 @@ class Job:
     * ``file:<path>`` -- a saved instance in the plain-text format.
 
     ``pipeline`` overrides :attr:`FlowConfig.pipeline` (pass-registry
-    names); ``seed`` overrides the TI generator's (or a scenario's) default
-    instance seed and doubles as the flow's base seed.
+    names, checked against the registry on construction); ``seed``
+    overrides the TI generator's (or a scenario's) default instance seed and
+    doubles as the flow's base seed.
     """
 
     instance: str
@@ -88,6 +90,11 @@ class Job:
                 f"pipeline must be a sequence of pass names or None, "
                 f"got {self.pipeline!r}"
             )
+        for name in self.pipeline or ():
+            try:
+                lookup_pass(name)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
         if self.seed is not None and not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int or None, got {self.seed!r}")
 

@@ -5,9 +5,8 @@ batch, tear it down), a :class:`SynthesisService` is built to *stay up*: it
 owns one :class:`~concurrent.futures.ProcessPoolExecutor` that is created on
 first use and reused across every subsequent call, so repeated small requests
 -- the traffic shape of a synthesis service, as opposed to a nightly sweep --
-pay the worker spawn cost once instead of per call
-(``benchmarks/service_smoke.py`` tracks the difference as
-``BENCH_service.json``).
+pay the worker spawn cost once instead of per call (the ``service`` perf
+case, ``repro perf run --case service``, tracks the difference).
 
 The facade speaks the typed API end to end:
 

@@ -411,12 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workers", type=int, default=4, help="parallel worker count (default 4)")
     bench.add_argument(
         "--summary-json",
-        "--output",
-        dest="summary_json",
         default="BENCH_runner.json",
         metavar="FILE",
-        help="where to write the speedup record (default BENCH_runner.json; "
-        "--output is a deprecated alias)",
+        help="where to write the speedup record (default BENCH_runner.json)",
     )
 
     table = sub.add_parser("table", help="render saved per-job JSON as Table IV / III")

@@ -23,6 +23,7 @@ from repro.core.pipeline import (
     PassContext,
     PipelineDriver,
     available_passes,
+    lookup_pass,
     register_pass,
     resolve_pipeline,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "PassContext",
     "PipelineDriver",
     "available_passes",
+    "lookup_pass",
     "register_pass",
     "resolve_pipeline",
     "SinkSlacks",

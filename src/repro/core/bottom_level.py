@@ -58,16 +58,12 @@ def bottom_level_fine_tuning(
     safety: float = 0.95,
     min_slack: float = 0.25,
     gate: Optional[IvcGate] = None,
-    candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Run bottom-level wiresizing + wiresnaking on ``tree`` in place.
 
     ``min_slack`` (ps) is the smallest per-sink slow-down slack worth spending;
     anything below it is within evaluation noise.  ``gate`` is an optional
     IVC acceptance gate (see :class:`repro.core.variation.VariationGate`).
-    ``candidate_scales`` switches the loop to batched best-of-K rounds (one
-    candidate per scale, see :meth:`~repro.core.ivc.IvcEngine.run_batched`);
-    ``None`` keeps the classic one-proposal-per-round loop.
     """
     engine = IvcEngine(
         "bottom_level_fine_tuning",
@@ -106,17 +102,9 @@ def bottom_level_fine_tuning(
             min_slack,
         )
 
-    if candidate_scales is not None:
-        result = engine.run_batched(
-            propose,
-            max_rounds=max_rounds,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no sink edge had usable slack left",
-        )
-    else:
-        result = engine.run(
-            propose, max_rounds=max_rounds, empty_note="no sink edge had usable slack left"
-        )
+    result = engine.run(
+        propose, max_rounds=max_rounds, empty_note="no sink edge had usable slack left"
+    )
     if rise_fall_divergence(engine.report):
         result.notes.append("rise/fall corner sinks diverged; further gains limited")
     return result

@@ -21,7 +21,7 @@ loop:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.core.buffer_sliding import find_trunk_chain
@@ -77,7 +77,6 @@ def iterative_buffer_sizing(
     min_bottom_scale: float = 0.6,
     max_consecutive_rejections: int = 3,
     gate: Optional[IvcGate] = None,
-    candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Iteratively upsize trunk (and upper-branch) buffers on ``tree`` in place.
 
@@ -85,9 +84,6 @@ def iterative_buffer_sizing(
     inherited from the IVC engine; ``1`` reproduces the historical
     stop-on-first-rejection behavior.  ``gate`` is an optional IVC acceptance
     gate (see :class:`repro.core.variation.VariationGate`).
-    ``candidate_scales`` switches the loop to batched best-of-K rounds (one
-    growth step per scale, see :meth:`~repro.core.ivc.IvcEngine.run_batched`);
-    ``None`` keeps the classic one-proposal-per-round loop.
     """
     engine = IvcEngine(
         "iterative_buffer_sizing",
@@ -111,15 +107,6 @@ def iterative_buffer_sizing(
             min_bottom_scale,
         )
 
-    if candidate_scales is not None:
-        return engine.run_batched(
-            propose,
-            max_rounds=max_iterations,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no buffer eligible for upsizing",
-            max_consecutive_rejections=max_consecutive_rejections,
-            reject_note="iteration {iteration} rejected: {reason}",
-        )
     return engine.run(
         propose,
         max_rounds=max_iterations,

@@ -67,7 +67,6 @@ def slide_and_interleave_trunk(
     slew_limit: Optional[float] = None,
     spacing_margin: float = 0.85,
     gate: Optional[IvcGate] = None,
-    candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Re-space (and possibly add) trunk inverters; accept only if it helps.
 
@@ -77,13 +76,7 @@ def slide_and_interleave_trunk(
     improved without introducing slew violations -- the standard IVC step.
     ``gate`` is an optional IVC acceptance gate (see
     :class:`repro.core.variation.VariationGate`).
-
-    ``candidate_scales`` is accepted for pipeline-level uniformity with the
-    other passes but deliberately ignored: the single respacing proposal does
-    not read the state's aggressiveness, so K scaled candidates would be K
-    identical moves and batching them buys nothing.
     """
-    del candidate_scales  # single-shot, aggressiveness-independent proposal
     engine = IvcEngine(
         "trunk_buffer_sliding",
         tree,

@@ -9,7 +9,7 @@ from repro.analysis.corners import Corner, ispd09_corners
 from repro.analysis.spice import TransientSolverConfig
 from repro.analysis.variation import VariationModel
 
-__all__ = ["DEFAULT_PIPELINE", "VARIATION_PIPELINE", "BATCHED_PIPELINE", "FlowConfig"]
+__all__ = ["DEFAULT_PIPELINE", "VARIATION_PIPELINE", "FlowConfig"]
 
 #: The paper's full optimization sequence (Figure 1), as pass-registry names.
 DEFAULT_PIPELINE = ("initial", "tbsz", "twsz", "twsn", "bwsn")
@@ -18,12 +18,6 @@ DEFAULT_PIPELINE = ("initial", "tbsz", "twsz", "twsn", "bwsn")
 #: round of the optimization passes additionally screened by the Monte Carlo
 #: p95-skew gate (see :mod:`repro.core.variation`).
 VARIATION_PIPELINE = ("initial", "tbsz_mc", "twsz_mc", "twsn_mc", "bwsn_mc")
-
-#: The batched-candidate pipeline variant: the same sequence with every IVC
-#: round proposing best-of-K scaled candidates, scored in one batched
-#: evaluation when ``EvaluatorConfig.candidate_batching`` allows (see
-#: :meth:`repro.core.ivc.IvcEngine.run_batched`).
-BATCHED_PIPELINE = ("initial", "tbsz_k", "twsz_k", "twsn_k", "bwsn_k")
 
 
 @dataclass

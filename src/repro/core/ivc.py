@@ -27,13 +27,9 @@ snapshot/rollback/accept code of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol
 
-from repro.analysis.evaluator import (
-    CandidateScore,
-    ClockNetworkEvaluator,
-    EvaluationReport,
-)
+from repro.analysis.evaluator import ClockNetworkEvaluator, EvaluationReport
 from repro.core.tuning import PassResult, objective_value
 from repro.cts.tree import ClockTree
 from repro.obs import METRICS
@@ -373,134 +369,3 @@ class IvcEngine:
             self.result.edges_changed += outcome.changed
             self.result.improved = True
         return self.finish()
-
-    # ------------------------------------------------------------------
-    def run_batched(
-        self,
-        propose: Callable[[IvcState], int],
-        *,
-        max_rounds: int,
-        candidate_scales: Sequence[float] = (1.0, 0.5, 0.25),
-        empty_note: Optional[str] = None,
-        max_consecutive_rejections: int = 3,
-        rejection_decay: float = 0.5,
-        reject_note: str = "round rejected: {reason}",
-    ) -> PassResult:
-        """Drive IVC rounds that score K candidate proposals per round.
-
-        Each round calls ``propose`` once per entry of ``candidate_scales``,
-        with the state's aggressiveness multiplied by that scale, and scores
-        all candidates in one
-        :meth:`~repro.analysis.evaluator.ClockNetworkEvaluator.evaluate_candidates`
-        batch (one numpy pass when candidate batching is enabled; the same
-        scores via serial evaluations when it is not -- the evaluator switch
-        is the A/B toggle, this loop is oblivious to it).  The best candidate
-        that satisfies the constraints and improves the objective is then
-        re-applied through :func:`ivc_round`, which re-evaluates it
-        authoritatively and runs the acceptance gate -- so the committed
-        report never depends on the batched scoring path.  ``propose`` must
-        therefore be deterministic for a given state: the winning move is
-        replayed after its scoring rollback.
-
-        Rejection bookkeeping (notes, aggressiveness decay, the consecutive
-        rejection cap, the vacuous-round stop) matches :meth:`run`.
-        """
-        if not candidate_scales:
-            raise ValueError("candidate_scales must not be empty")
-        state = IvcState(report=self.report)
-        best_objective = objective_value(self.report, self.objective)
-        if self.gate is not None:
-            self.gate.prime(self.tree, self.report)
-        for attempt in range(1, max_rounds + 1):
-            state.iteration = attempt
-            state.report = self.report
-            moves = [
-                self._scaled_move(propose, state, scale) for scale in candidate_scales
-            ]
-            batch = self.evaluator.evaluate_candidates(self.tree, moves)
-            if all(score.changed == 0 for score in batch):
-                if empty_note is not None:
-                    self.result.notes.append(empty_note)
-                break
-            viable: List[CandidateScore] = [
-                score
-                for score in batch
-                if score.changed > 0
-                and self.constraints(score) is None  # type: ignore[arg-type]
-                and objective_value(score, self.objective) < best_objective
-            ]
-            if viable:
-                winner = min(
-                    viable,
-                    key=lambda score: (
-                        objective_value(score, self.objective),
-                        score.index,
-                    ),
-                )
-                outcome = ivc_round(
-                    self.tree,
-                    self.evaluator,
-                    moves[winner.index],
-                    objective=self.objective,
-                    best_objective=best_objective,
-                    constraints=self.constraints,
-                    gate=self.gate,
-                )
-                if outcome.changed == 0:
-                    # A non-deterministic propose went vacuous on replay;
-                    # treat it like any other vacuous round.
-                    if empty_note is not None:
-                        self.result.notes.append(empty_note)
-                    break
-            else:
-                # Every candidate was triaged away: report the first real
-                # candidate's reason, mirroring a rejected ivc_round.
-                reason: Optional[str] = REASON_NO_IMPROVEMENT
-                for score in batch:
-                    if score.changed > 0:
-                        reason = (
-                            self.constraints(score)  # type: ignore[arg-type]
-                            or REASON_NO_IMPROVEMENT
-                        )
-                        break
-                outcome = IvcOutcome(
-                    accepted=False,
-                    changed=max(score.changed for score in batch),
-                    report=None,
-                    reason=reason,
-                )
-            if not outcome.accepted:
-                self.result.notes.append(
-                    reject_note.format(reason=outcome.reason, iteration=state.iteration)
-                )
-                METRICS.count("ivc.rounds_rejected")
-                state.consecutive_rejections += 1
-                state.aggressiveness *= rejection_decay
-                if state.consecutive_rejections >= max_consecutive_rejections:
-                    break
-                continue
-            METRICS.count("ivc.rounds_accepted")
-            state.consecutive_rejections = 0
-            self.report = outcome.report
-            best_objective = objective_value(outcome.report, self.objective)
-            self.result.rounds += 1
-            self.result.edges_changed += outcome.changed
-            self.result.improved = True
-        return self.finish()
-
-    @staticmethod
-    def _scaled_move(
-        propose: Callable[[IvcState], int], state: IvcState, scale: float
-    ) -> Callable[[], int]:
-        """One candidate move: ``propose`` at a scaled aggressiveness."""
-
-        def move() -> int:
-            candidate_state = IvcState(
-                report=state.report,
-                iteration=state.iteration,
-                aggressiveness=state.aggressiveness * scale,
-                consecutive_rejections=state.consecutive_rejections,
-            )
-            return propose(candidate_state)
-
-        return move

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.analysis.evaluator import (
     ClockNetworkEvaluator,
@@ -59,6 +60,7 @@ __all__ = [
     "PASS_REGISTRY",
     "register_pass",
     "available_passes",
+    "lookup_pass",
     "resolve_pipeline",
     "PipelineDriver",
 ]
@@ -100,6 +102,10 @@ class PassContext:
         return self.tree
 
 
+#: Name suffix of the Monte Carlo gated variant of an optimization pass.
+MC_SUFFIX = "_mc"
+
+
 class OptimizationPass:
     """One named, registrable pipeline step.
 
@@ -109,18 +115,18 @@ class OptimizationPass:
     the Monte Carlo pipeline variants: the driver builds one shared
     :class:`~repro.core.variation.VariationGate` when any pass in the
     pipeline sets it, and the pass threads the gate into its IVC engine via
-    :meth:`gate`.
+    :meth:`gate`.  A pass built with ``variation_aware=True`` runs under its
+    class's ``name`` plus :data:`MC_SUFFIX` (``twsz`` -> ``twsz_mc``).
     """
 
     name: str = ""
     stage: Optional[str] = None
     variation_aware: bool = False
-    #: When set, the pass's IVC loop proposes one candidate per scale and
-    #: commits the best gate-approved one via
-    #: :meth:`~repro.core.ivc.IvcEngine.run_batched` (scored in a single
-    #: batched evaluation when the evaluator allows it).  ``None`` keeps the
-    #: classic one-proposal-per-round loop.
-    candidate_scales: Optional[Tuple[float, ...]] = None
+
+    def __init__(self, *, variation_aware: bool = False) -> None:
+        if variation_aware:
+            self.name = type(self).name + MC_SUFFIX
+            self.variation_aware = True
 
     def run(self, ctx: PassContext) -> None:
         raise NotImplementedError
@@ -134,13 +140,16 @@ class OptimizationPass:
 PASS_REGISTRY: Dict[str, Callable[[], OptimizationPass]] = {}
 
 
-def register_pass(factory: Callable[[], OptimizationPass]):
-    """Register a pass class (or zero-arg factory) under its ``name``.
+def register_pass(
+    factory: Callable[[], OptimizationPass], name: Optional[str] = None
+):
+    """Register a pass class (or zero-arg factory) under ``name``.
 
-    Usable as a class decorator.  Raises on missing or duplicate names so a
+    ``name`` defaults to the factory's ``name`` attribute, so the function is
+    usable as a class decorator.  Raises on missing or duplicate names so a
     typo cannot silently shadow an existing pass.
     """
-    name = getattr(factory, "name", "")
+    name = name or getattr(factory, "name", "")
     if not name:
         raise ValueError("an optimization pass needs a non-empty 'name' to register")
     if name in PASS_REGISTRY:
@@ -154,29 +163,31 @@ def available_passes() -> List[str]:
     return sorted(PASS_REGISTRY)
 
 
+def lookup_pass(name: str) -> Callable[[], OptimizationPass]:
+    """The registered factory for ``name``; ``KeyError`` when there is none."""
+    factory = PASS_REGISTRY.get(name)
+    if factory is None:
+        # Registration happens at import time; the baseline synthesis passes
+        # live outside repro.core, so pull them in before giving up on the
+        # name.
+        import repro.baselines  # noqa: F401  (imported for registration)
+
+        factory = PASS_REGISTRY.get(name)
+    if factory is None:
+        raise KeyError(
+            f"unknown optimization pass {name!r}; registered: {available_passes()}"
+        )
+    return factory
+
+
 def resolve_pipeline(
     steps: Iterable[Union[str, OptimizationPass]]
 ) -> List[OptimizationPass]:
     """Materialize a pipeline from registry names and/or ready pass instances."""
-    passes: List[OptimizationPass] = []
-    for step in steps:
-        if isinstance(step, OptimizationPass):
-            passes.append(step)
-            continue
-        factory = PASS_REGISTRY.get(step)
-        if factory is None:
-            # Registration happens at import time; the baseline synthesis
-            # passes live outside repro.core, so pull them in before giving
-            # up on the name.
-            import repro.baselines  # noqa: F401  (imported for registration)
-
-            factory = PASS_REGISTRY.get(step)
-        if factory is None:
-            raise KeyError(
-                f"unknown optimization pass {step!r}; registered: {available_passes()}"
-            )
-        passes.append(factory())
-    return passes
+    return [
+        step if isinstance(step, OptimizationPass) else lookup_pass(step)()
+        for step in steps
+    ]
 
 
 class PipelineDriver:
@@ -414,7 +425,6 @@ class TrunkBufferSizingPass(OptimizationPass):
             baseline=ctx.report,
             objective="clr",
             gate=self.gate(ctx),
-            candidate_scales=self.candidate_scales,
         )
         ctx.result.pass_results["trunk_sliding"] = sliding
         sizing = iterative_buffer_sizing(
@@ -427,7 +437,6 @@ class TrunkBufferSizingPass(OptimizationPass):
             max_iterations=ctx.config.sizing_max_iterations,
             max_consecutive_rejections=ctx.config.sizing_max_rejections,
             gate=self.gate(ctx),
-            candidate_scales=self.candidate_scales,
         )
         ctx.result.pass_results["buffer_sizing"] = sizing
         ctx.report = sizing.final_report
@@ -453,7 +462,6 @@ class WiresizingPass(OptimizationPass):
             corners=ctx.slack_corners,
             max_rounds=ctx.config.wiresizing_max_rounds,
             gate=self.gate(ctx),
-            candidate_scales=self.candidate_scales,
         )
         ctx.result.pass_results["wiresizing"] = outcome
         ctx.report = outcome.final_report
@@ -479,7 +487,6 @@ class WiresnakingPass(OptimizationPass):
             unit_length=ctx.config.wiresnaking_unit_length,
             max_rounds=ctx.config.wiresnaking_max_rounds,
             gate=self.gate(ctx),
-            candidate_scales=self.candidate_scales,
         )
         ctx.result.pass_results["wiresnaking"] = outcome
         ctx.report = outcome.final_report
@@ -506,7 +513,6 @@ class BottomLevelPass(OptimizationPass):
             unit_length=ctx.config.bottom_unit_length,
             max_rounds=ctx.config.bottom_max_rounds,
             gate=self.gate(ctx),
-            candidate_scales=self.candidate_scales,
         )
         ctx.result.pass_results["bottom_level"] = outcome
         ctx.report = outcome.final_report
@@ -521,79 +527,13 @@ class BottomLevelPass(OptimizationPass):
 # variation distribution are rolled back.  Select them via
 # ``FlowConfig(pipeline=list(VARIATION_PIPELINE))`` or per stage
 # (``--pipeline initial,tbsz,twsz_mc,...``).
-@register_pass
-class VariationAwareTrunkBufferSizingPass(TrunkBufferSizingPass):
-    """TBSZ with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "tbsz_mc"
-    variation_aware = True
-
-
-@register_pass
-class VariationAwareWiresizingPass(WiresizingPass):
-    """TWSZ with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "twsz_mc"
-    variation_aware = True
-
-
-@register_pass
-class VariationAwareWiresnakingPass(WiresnakingPass):
-    """TWSN with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "twsn_mc"
-    variation_aware = True
-
-
-@register_pass
-class VariationAwareBottomLevelPass(BottomLevelPass):
-    """BWSN with the Monte Carlo p95-skew acceptance gate."""
-
-    name = "bwsn_mc"
-    variation_aware = True
-
-
-# ----------------------------------------------------------------------
-# Batched-candidate pipeline variants (best-of-K IVC rounds)
-# ----------------------------------------------------------------------
-# Each variant runs the same optimization loop, but every round proposes one
-# candidate per aggressiveness scale and commits the best gate-approved one
-# (IvcEngine.run_batched).  With EvaluatorConfig.candidate_batching enabled
-# the K candidates are scored in a single numpy evaluation along the batch
-# axis; with it disabled they fall back to serial scoring, so the variants
-# double as the A/B switch for the batched evaluator path.  Select them via
-# ``FlowConfig(pipeline=list(BATCHED_PIPELINE))`` or per stage
-# (``--pipeline initial,tbsz,twsz_k,...``).
-_BATCH_SCALES: Tuple[float, ...] = (1.0, 0.5, 0.25)
-
-
-@register_pass
-class BatchedTrunkBufferSizingPass(TrunkBufferSizingPass):
-    """TBSZ with best-of-K batched candidate rounds."""
-
-    name = "tbsz_k"
-    candidate_scales = _BATCH_SCALES
-
-
-@register_pass
-class BatchedWiresizingPass(WiresizingPass):
-    """TWSZ with best-of-K batched candidate rounds."""
-
-    name = "twsz_k"
-    candidate_scales = _BATCH_SCALES
-
-
-@register_pass
-class BatchedWiresnakingPass(WiresnakingPass):
-    """TWSN with best-of-K batched candidate rounds."""
-
-    name = "twsn_k"
-    candidate_scales = _BATCH_SCALES
-
-
-@register_pass
-class BatchedBottomLevelPass(BottomLevelPass):
-    """BWSN with best-of-K batched candidate rounds."""
-
-    name = "bwsn_k"
-    candidate_scales = _BATCH_SCALES
+for _stage_pass in (
+    TrunkBufferSizingPass,
+    WiresizingPass,
+    WiresnakingPass,
+    BottomLevelPass,
+):
+    register_pass(
+        partial(_stage_pass, variation_aware=True), name=_stage_pass.name + MC_SUFFIX
+    )
+del _stage_pass

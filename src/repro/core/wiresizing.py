@@ -44,7 +44,6 @@ def top_down_wiresizing(
     safety: float = 0.9,
     min_edge_length: float = 10.0,
     gate: Optional[IvcGate] = None,
-    candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Run iterative top-down wiresizing on ``tree`` in place.
 
@@ -64,11 +63,6 @@ def top_down_wiresizing(
     gate:
         Optional IVC acceptance gate (e.g. the Monte Carlo p95-skew check of
         :class:`repro.core.variation.VariationGate`).
-    candidate_scales:
-        When given, each round proposes one candidate per scale (applied to
-        the state's aggressiveness) and commits the best gate-approved one
-        via :meth:`~repro.core.ivc.IvcEngine.run_batched`; ``None`` keeps the
-        classic one-proposal-per-round loop.
     """
     engine = IvcEngine(
         "top_down_wiresizing",
@@ -96,13 +90,6 @@ def top_down_wiresizing(
             min_edge_length,
         )
 
-    if candidate_scales is not None:
-        return engine.run_batched(
-            propose,
-            max_rounds=max_rounds,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no edge had enough slack to absorb a downsizing",
-        )
     return engine.run(
         propose,
         max_rounds=max_rounds,

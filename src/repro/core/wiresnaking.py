@@ -39,7 +39,6 @@ def top_down_wiresnaking(
     max_rounds: int = 20,
     safety: float = 0.9,
     gate: Optional[IvcGate] = None,
-    candidate_scales: Optional[Sequence[float]] = None,
 ) -> PassResult:
     """Run iterative top-down wiresnaking on ``tree`` in place.
 
@@ -47,10 +46,7 @@ def top_down_wiresnaking(
     ``max_units_per_edge`` caps how much snake a single edge may receive per
     round, which keeps each round inside the linear-model trust region.
     ``gate`` is an optional IVC acceptance gate (see
-    :class:`repro.core.variation.VariationGate`).  ``candidate_scales``
-    switches the loop to batched best-of-K rounds (one candidate per scale,
-    see :meth:`~repro.core.ivc.IvcEngine.run_batched`); ``None`` keeps the
-    classic one-proposal-per-round loop.
+    :class:`repro.core.variation.VariationGate`).
     """
     if unit_length <= 0.0:
         raise ValueError("unit_length must be positive")
@@ -80,13 +76,6 @@ def top_down_wiresnaking(
             safety * state.aggressiveness,
         )
 
-    if candidate_scales is not None:
-        return engine.run_batched(
-            propose,
-            max_rounds=max_rounds,
-            candidate_scales=tuple(candidate_scales),
-            empty_note="no edge had a full snaking unit of slack left",
-        )
     return engine.run(
         propose,
         max_rounds=max_rounds,

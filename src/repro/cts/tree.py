@@ -64,7 +64,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cts.bufferlib import BufferType
 from repro.cts.wirelib import WireType
@@ -312,21 +312,6 @@ class ClockTree:
             )
         self._checkpoints.pop()
         self._journaled.pop()
-
-    def touched_since(self, token: int) -> Set[int]:
-        """Node ids journaled since the innermost open checkpoint ``token``.
-
-        This is the dirty-set query used by batched candidate evaluation: the
-        caller opens a checkpoint, applies a candidate move, asks which nodes
-        the move journaled, and rolls back.  The set over-approximates the
-        nodes whose content changed (mutators journal before validating), so
-        consumers treating every returned node as dirty stay sound.  Nodes
-        *created* since the checkpoint are not included -- creation always
-        bumps the structure revision, which callers must check separately.
-        """
-        if not self._checkpoints or self._checkpoints[-1] != token:
-            raise ValueError("touched_since requires the innermost open checkpoint token")
-        return set(self._journaled[-1])
 
     def journal_node(self, node_id: int) -> None:
         """Record a pre-image of ``node_id`` for the innermost open checkpoint.

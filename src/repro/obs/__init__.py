@@ -5,7 +5,7 @@ package (including the strict-typed leaves) can use them without cycles:
 
 * :mod:`repro.obs.trace` -- :class:`Tracer` produces one nested span tree per
   job (``flow`` -> ``pass`` -> ``ivc_round`` -> ``evaluate`` ->
-  ``propagate`` / ``candidate_batch``) with per-span counters;
+  ``propagate``) with per-span counters;
   :data:`NULL_TRACER` is the shared disabled tracer whose spans are cached
   no-ops, so instrumentation left in place costs one attribute check on the
   hot paths.  :func:`trace_artifact` / :func:`write_trace` /
@@ -16,8 +16,7 @@ package (including the strict-typed leaves) can use them without cycles:
 * :mod:`repro.obs.metrics` -- :class:`Metrics`, a process-wide registry of
   counters, gauges and histograms; :data:`METRICS` is the shared instance
   the pipeline driver and IVC engine feed (evaluator cache hits/misses,
-  dirty-region propagation counts, candidate fallbacks, gate accept/reject,
-  IVC retries).
+  dirty-region propagation counts, gate accept/reject, IVC retries).
 
 Timing attribution flows through the tracer *only*: the ``untimed-wallclock``
 lint rule flags direct ``time.perf_counter``/``time.monotonic`` calls outside

@@ -2,10 +2,10 @@
 
 :data:`METRICS` absorbs the stats that used to live only in scattered
 per-run dicts -- evaluator cache hits/misses, dirty-region propagation
-counts, candidate-batch fallbacks, variation-gate accept/reject, IVC
-retries -- so a long-lived process (the warm-pool service, a sweep driver)
-can answer "what has this process done so far" without re-aggregating
-records.  Producers feed it through three verbs:
+counts, variation-gate accept/reject, IVC retries -- so a long-lived
+process (the warm-pool service, a sweep driver) can answer "what has this
+process done so far" without re-aggregating records.  Producers feed it
+through three verbs:
 
 * :meth:`Metrics.count` -- monotonically increasing integer counters;
 * :meth:`Metrics.gauge` -- last-write-wins floats (pool sizes, ratios);

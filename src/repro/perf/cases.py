@@ -1,16 +1,15 @@
-"""The registered perf cases -- the five bench smokes, absorbed, plus serve.
+"""The registered perf cases: evaluator, variation, service, propagation,
+trace and serve.
 
-Each case reproduces one ``benchmarks/*_smoke.py`` measurement as a
-registered :class:`~repro.perf.case.PerfCase`: the workload runs under the
-supplied tracer (so span paths and span counters land in the ledger entry),
-every timed region is a span (``span.total_s`` after the ``with`` block --
-no raw ``time.perf_counter`` calls, per the ``untimed-wallclock`` rule),
-deterministic facts become counters or deterministic checks, and the old
-hard acceptance floors (variation 20x, dirty-region 5x, candidate batch 3x,
-disabled-trace overhead <2%) become ``timing=True`` checks so they gate in
-``repro perf compare`` without contaminating the byte-stable remainder.
-
-The smoke scripts remain as thin CLI wrappers over these cases.
+Each case is a registered :class:`~repro.perf.case.PerfCase`: the workload
+runs under the supplied tracer (so span paths and span counters land in the
+ledger entry), every timed region is a span (``span.total_s`` after the
+``with`` block -- no raw ``time.perf_counter`` calls, per the
+``untimed-wallclock`` rule), deterministic facts become counters or
+deterministic checks, and the hard acceptance floors (variation 20x,
+dirty-region 5x, disabled-trace overhead <2%) are ``timing=True`` checks so
+they gate in ``repro perf compare`` without contaminating the byte-stable
+remainder.  Run one with ``repro perf run --case NAME``.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ def _prefixed(prefix: str, stats: Dict[str, int]) -> Dict[str, int]:
 class EvaluatorCase(PerfCase):
     """The 200-sink TI Contango flow as one traced runner job.
 
-    Absorbs ``benchmarks/perf_smoke.py``: the flow's evaluator counters
-    (evaluations, cache hits/misses, propagation splits) arrive through the
-    span tree, quality metrics stay with the store regression gate, and the
-    old best-of-3 wall-clock becomes the entry's median over repeats.
+    The flow's evaluator counters (evaluations, cache hits/misses,
+    propagation splits) arrive through the span tree, quality metrics stay
+    with the store regression gate, and the wall-clock is the entry's median
+    over repeats.
     """
 
     name = "evaluator"
@@ -90,9 +89,9 @@ class EvaluatorCase(PerfCase):
 class VariationCase(PerfCase):
     """Batched vs per-sample Monte Carlo skew-yield evaluation.
 
-    Absorbs ``benchmarks/variation_smoke.py``: the zero-variance bit-parity
-    check stays deterministic, the 20x-over-serial floor becomes a timing
-    check, and both wall-clocks land in the ``timings.extra`` series.
+    The zero-variance bit-parity check is deterministic, the
+    20x-over-serial floor is a timing check, and both wall-clocks land in the
+    ``timings.extra`` series.
     """
 
     name = "variation"
@@ -199,10 +198,10 @@ class VariationCase(PerfCase):
 class ServiceCase(PerfCase):
     """Warm-pool vs per-call-pool dispatch of many tiny jobs.
 
-    Absorbs ``benchmarks/service_smoke.py``: the reuse invariant (one pool
-    for the whole warm run, identical fingerprints either way) gates
-    deterministically; the speedup stays an untracked trajectory because a
-    1-core host serializes both variants onto the same CPU.
+    The reuse invariant (one pool for the whole warm run, identical
+    fingerprints either way) gates deterministically; the speedup stays an
+    untracked trajectory because a 1-core host serializes both variants onto
+    the same CPU.
     """
 
     name = "service"
@@ -262,24 +261,20 @@ class ServiceCase(PerfCase):
 
 @register_case
 class PropagationCase(PerfCase):
-    """Dirty-region re-evaluation and batched candidate scoring.
+    """Dirty-region re-evaluation against cold evaluation.
 
-    Absorbs ``benchmarks/propagation_smoke.py``: bit-parity against the
-    cold/serial references gates deterministically, the 5x (dirty) and 3x
-    (batch) floors become timing checks, and the float-keyed timing-cache
-    finding's hit/miss deltas become counters so the finding itself is
+    Bit-parity against the cold reference gates deterministically, the 5x
+    floor is a timing check, and the float-keyed timing-cache finding's
+    hit/miss deltas become counters so the finding itself is
     regression-gated.
     """
 
     name = "propagation"
-    description = f"ti:{SINKS} {ENGINE} dirty-region + candidate-batch speedups"
+    description = f"ti:{SINKS} {ENGINE} dirty-region re-evaluation speedup"
     repeats = 2
 
     TOUCH_REPEATS = 20
-    BATCH_REPEATS = 10
-    CANDIDATES = 12
     COLD_FLOOR = 5.0
-    BATCH_FLOOR = 3.0
 
     def __init__(self) -> None:
         self._fingerprint = ""
@@ -308,22 +303,6 @@ class PropagationCase(PerfCase):
             if got.slew != want.slew:
                 return False
         return bool(a.summary() == b.summary())
-
-    def _candidate_moves(self, tree: Any) -> List[Any]:
-        sinks = sorted(s.node_id for s in tree.sinks())
-
-        def make(index: int) -> Any:
-            first = sinks[(2 * index) % len(sinks)]
-            second = sinks[(2 * index + 1) % len(sinks)]
-
-            def move() -> int:
-                tree.add_snake(first, 5.0 + index)
-                tree.add_snake(second, 2.5 + index)
-                return 2
-
-            return move
-
-        return [make(index) for index in range(self.CANDIDATES)]
 
     @staticmethod
     def _deepest_buffer_edge(tree: Any) -> Any:
@@ -367,34 +346,6 @@ class PropagationCase(PerfCase):
         dirty_speedup = cold_s / touch_s if touch_s > 0 else 0.0
         outcome.counters.update(_prefixed("dirty_", evaluator.cache_stats()))
 
-        # Batched candidate scoring vs the serial reference.
-        moves = self._candidate_moves(tree)
-        batched_eval = self._make_evaluator(instance)
-        batched_eval.evaluate(tree)
-        serial_eval = self._make_evaluator(instance, candidate_batching=False)
-        serial_eval.evaluate(tree)
-        batched = batched_eval.evaluate_candidates(tree, moves)
-        serial = serial_eval.evaluate_candidates(tree, moves)
-        batch_parity = all(
-            fast.skew == slow.skew
-            and fast.clr == slow.clr
-            and fast.max_latency == slow.max_latency
-            and fast.worst_slew == slow.worst_slew
-            for fast, slow in zip(batched, serial)
-        )
-        with tracer.span("batched_candidates") as batched_span:
-            for _ in range(self.BATCH_REPEATS):
-                batched_eval.evaluate_candidates(tree, moves)
-        with tracer.span("serial_candidates") as serial_span:
-            for _ in range(self.BATCH_REPEATS):
-                serial_eval.evaluate_candidates(tree, moves)
-        batched_s = _span_s(batched_span) / self.BATCH_REPEATS
-        serial_s = _span_s(serial_span) / self.BATCH_REPEATS
-        batch_speedup = serial_s / batched_s if batched_s > 0 else 0.0
-        outcome.counters["candidates"] = len(moves)
-        outcome.counters["candidates_batched"] = int(batched.batched)
-        outcome.counters["candidate_fallbacks"] = int(batched.fallbacks)
-
         # Float-keyed timing-cache finding (spice engine, small instance).
         small = generate_ti_benchmark(40)
         with tracer.span("timing_cache_finding"):
@@ -422,8 +373,6 @@ class PropagationCase(PerfCase):
 
         outcome.timings["dirty_touch_s"] = touch_s
         outcome.timings["cold_eval_s"] = cold_s
-        outcome.timings["batched_candidates_s"] = batched_s
-        outcome.timings["serial_candidates_s"] = serial_s
         outcome.checks.extend(
             [
                 CaseCheck(
@@ -433,22 +382,10 @@ class PropagationCase(PerfCase):
                     "bit for bit",
                 ),
                 CaseCheck(
-                    name="candidate_batch_bit_parity",
-                    ok=batch_parity,
-                    detail="batched candidate scores equal serial scoring",
-                ),
-                CaseCheck(
                     name="dirty_region_speedup_floor",
                     ok=dirty_speedup >= self.COLD_FLOOR,
                     detail=f"single-touch re-evaluation {dirty_speedup:.1f}x over "
                     f"cold (floor {self.COLD_FLOOR:.0f}x)",
-                    timing=True,
-                ),
-                CaseCheck(
-                    name="candidate_batch_speedup_floor",
-                    ok=batch_speedup >= self.BATCH_FLOOR,
-                    detail=f"batched candidate scoring {batch_speedup:.1f}x over "
-                    f"serial (floor {self.BATCH_FLOOR:.0f}x)",
                     timing=True,
                 ),
             ]
@@ -460,10 +397,10 @@ class PropagationCase(PerfCase):
 class TraceCase(PerfCase):
     """Tracing parity and the disabled-instrumentation overhead ceiling.
 
-    Absorbs ``benchmarks/trace_smoke.py``: traced/untraced record parity
-    and fingerprint equality gate deterministically; the <2% disabled
-    overhead ceiling (per-event null-span cost scaled by the traced run's
-    span count, against the untraced flow runtime) is a timing check.
+    Traced/untraced record parity and fingerprint equality gate
+    deterministically; the <2% disabled overhead ceiling (per-event
+    null-span cost scaled by the traced run's span count, against the
+    untraced flow runtime) is a timing check.
     """
 
     name = "trace"

@@ -24,8 +24,8 @@ process boundary in either direction.
 
 The module is the substrate of :class:`repro.api.service.SynthesisService`
 (whose warm pool streams through the shared :func:`dispatch_jobs` loop), of
-the ``python -m repro`` command line (see :mod:`repro.cli`), and of
-``benchmarks/perf_smoke.py`` / ``benchmarks/variation_smoke.py``.
+the ``python -m repro`` command line (see :mod:`repro.cli`), and of the
+``evaluator`` and ``variation`` perf cases (:mod:`repro.perf.cases`).
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ __all__ = [
     "execute_job",
     "execute_job_guarded",
     "execute_job_traced",
-    "run_mc_job_guarded",
     "dispatch_jobs",
     "error_record",
     "variation_model_for",
@@ -427,11 +426,6 @@ def execute_job_traced(spec: Job) -> Record:
         raise TypeError(f"not an executable job spec: {spec!r}")
     except Exception:
         return error_record(spec, traceback.format_exc())
-
-
-#: Backward-compatible aliases for the historical per-kind guarded workers.
-_run_job_guarded = execute_job_guarded
-run_mc_job_guarded = execute_job_guarded
 
 
 def dispatch_jobs(

@@ -35,6 +35,19 @@ class TestHierarchy:
         with pytest.raises(ValueError, match="seed"):
             JobSpec(instance="ti:30", seed="7")
 
+    @pytest.mark.parametrize("kind", [JobSpec, McJobSpec])
+    @pytest.mark.parametrize(
+        "pipeline", [("initial", "twsz_k"), ("initial", "twzs")]
+    )
+    def test_unknown_pass_names_fail_at_construction(self, kind, pipeline):
+        with pytest.raises(ValueError, match=repr(pipeline[1])):
+            kind(instance="ti:30", pipeline=pipeline)
+
+    def test_registered_and_baseline_pass_names_are_accepted(self):
+        spec = JobSpec(instance="ti:30", pipeline=("initial", "twsz_mc"))
+        assert spec.pipeline == ("initial", "twsz_mc")
+        assert McJobSpec(instance="ti:30", pipeline=("greedy_buffered",)).pipeline
+
 
 class TestJobMatrixExpansion:
     def test_run_matrix_order_is_instance_flow_engine(self):

@@ -269,6 +269,23 @@ class TestIvcEngine:
         assert len(result.notes) == 3
         assert all("rejected" in note for note in result.notes)
 
+    def test_vacuous_round_appends_empty_note_and_stops(self):
+        tree = make_zst_tree(10)
+        evaluator = fresh_evaluator()
+        engine = IvcEngine("t", tree, evaluator, objective="skew")
+        calls = []
+
+        def propose(state):
+            calls.append(state.iteration)
+            return 0
+
+        runs = evaluator.run_count
+        result = engine.run(propose, max_rounds=3, empty_note="nothing to do")
+        assert calls == [1]
+        assert result.notes == ["nothing to do"]
+        assert result.rounds == 0 and not result.improved
+        assert evaluator.run_count == runs
+
     def test_custom_reject_note_includes_iteration(self):
         tree = make_zst_tree(10)
         evaluator = fresh_evaluator()

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import (
+    DEFAULT_PIPELINE,
+    VARIATION_PIPELINE,
     ContangoFlow,
     FlowConfig,
     FlowResult,
@@ -25,6 +27,7 @@ from repro.core import (
     resolve_pipeline,
 )
 from repro.core.pipeline import PassContext
+from repro.obs import Tracer
 from repro.testing import make_small_instance
 from repro.workloads import generate_ti_benchmark
 
@@ -80,6 +83,26 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="non-empty 'name'"):
             register_pass(Nameless)
+
+    def test_mc_entries_are_gated_stage_passes_under_their_own_spans(self):
+        names = available_passes()
+        assert not [name for name in names if name.endswith("_k")]
+        mc_names = [name for name in names if name.endswith("_mc")]
+        assert sorted(mc_names) == sorted(VARIATION_PIPELINE[1:])
+        nominal = {p.name: p for p in resolve_pipeline(list(DEFAULT_PIPELINE))}
+        for gated in resolve_pipeline(mc_names):
+            base = nominal[gated.name[: -len("_mc")]]
+            assert type(gated) is type(base)
+            assert gated.variation_aware and not base.variation_aware
+            assert gated.stage == base.stage
+        tracer = Tracer()
+        PipelineDriver(list(VARIATION_PIPELINE)).run(
+            make_small_instance(sink_count=16, with_obstacles=False),
+            FlowConfig(engine="elmore", variation_samples=16),
+            tracer=tracer,
+        )
+        spans = {span.name for span in tracer.spans()}
+        assert {f"pass:{name}" for name in mc_names} <= spans
 
     def test_baseline_passes_resolve_lazily(self):
         passes = resolve_pipeline(["unoptimized_dme"])

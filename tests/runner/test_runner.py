@@ -241,14 +241,16 @@ class TestCli:
             # starved CI box we only require it recorded both timings.
             assert payload["speedup"] > 1.0
 
-    def test_bench_output_flag_is_a_compatible_alias(self, tmp_path, capsys):
+    def test_bench_rejects_the_removed_output_alias(self, tmp_path, capsys):
         output = tmp_path / "BENCH_runner.json"
-        code = main(
-            ["bench", "--sinks", "20", "--matrix", "1", "--workers", "1",
-             "--output", str(output)]
-        )
-        assert code == 0
-        assert json.loads(output.read_text())["jobs"] == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["bench", "--sinks", "20", "--matrix", "1", "--workers", "1",
+                 "--output", str(output)]
+            )
+        assert excinfo.value.code == 2
+        assert "--output" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_version_flag_prints_package_version(self, capsys):
         from repro.cli import package_version

@@ -81,6 +81,17 @@ class TestEndpoints:
         status, body = request(server, "/jobs", {"engine": "elmore"})
         assert status == 400 and "instance" in body["error"]
 
+    @pytest.mark.parametrize(
+        "pipeline", [["initial", "twsz_k"], ["initial", "twzs"]]
+    )
+    @pytest.mark.parametrize("kind", ["run", "mc"])
+    def test_unknown_pass_name_is_400_before_queueing(self, server, kind, pipeline):
+        payload = dict(FAST_JOB, kind=kind, pipeline=pipeline)
+        status, body = request(server, "/jobs", payload)
+        assert status == 400 and repr(pipeline[1]) in body["error"]
+        _, listing = request(server, "/jobs")
+        assert listing["jobs"] == []
+
     def test_unknown_route_is_404(self, server):
         status, _ = request(server, "/nope")
         assert status == 404
