@@ -19,7 +19,12 @@ from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
-__all__ = ["BufferStation", "enumerate_stations", "max_drivable_capacitance"]
+__all__ = [
+    "BufferStation",
+    "enumerate_stations",
+    "legality_rule",
+    "max_drivable_capacitance",
+]
 
 
 def max_drivable_capacitance(
@@ -64,6 +69,26 @@ class BufferStation:
     legal: bool
 
 
+def legality_rule(
+    obstacles: Optional[ObstacleSet] = None,
+    die: Optional[Rect] = None,
+    legality: Optional[Callable[[Point], bool]] = None,
+) -> Callable[[Point], bool]:
+    """The buffer-site test: ``legality`` when given, else inside ``die`` and
+    outside every obstacle."""
+    if legality is not None:
+        return legality
+
+    def is_legal(point: Point) -> bool:
+        if die is not None and not die.contains_point(point):
+            return False
+        if obstacles is not None and obstacles.blocks_point(point):
+            return False
+        return True
+
+    return is_legal
+
+
 def enumerate_stations(
     tree: ClockTree,
     spacing: float = 250.0,
@@ -81,15 +106,7 @@ def enumerate_stations(
     """
     if spacing <= 0.0:
         raise ValueError("station spacing must be positive")
-
-    def _is_legal(point: Point) -> bool:
-        if legality is not None:
-            return legality(point)
-        if die is not None and not die.contains_point(point):
-            return False
-        if obstacles is not None and obstacles.blocks_point(point):
-            return False
-        return True
+    is_legal = legality_rule(obstacles, die, legality)
 
     stations: Dict[int, List[BufferStation]] = {}
     for node in tree.nodes():
@@ -111,7 +128,7 @@ def enumerate_stations(
                         distance_from_child=dist,
                         fraction_from_parent=fraction_from_parent,
                         position=position,
-                        legal=_is_legal(position),
+                        legal=is_legal(position),
                     )
                 )
         stations[node.node_id] = edge_stations

@@ -83,11 +83,8 @@ def insert_buffers_with_sizing(
     if capacitance_limit is not None:
         budget = (1.0 - power_reserve) * capacitance_limit
 
-    outcomes: List[CandidateOutcome] = []
-    buffered_trees: List[ClockTree] = []
-    for candidate in candidates:
-        working = tree.clone()
-        inserter = VanGinnekenInserter(
+    inserters = [
+        VanGinnekenInserter(
             buffer=candidate,
             slew_limit=slew_limit,
             slew_margin=slew_margin,
@@ -97,13 +94,22 @@ def insert_buffers_with_sizing(
             legality=legality,
             max_options=max_options,
         )
-        insertion: BufferInsertionResult = inserter.insert(working, apply=True)
+        for candidate in candidates
+    ]
+    # Stations and node legality do not depend on the buffer type, and every
+    # clone keeps the tree's node ids: one plan serves the whole ladder.
+    plan = inserters[0].plan(tree)
+    outcomes: List[CandidateOutcome] = []
+    buffered_trees: List[ClockTree] = []
+    for inserter in inserters:
+        working = tree.clone()
+        insertion: BufferInsertionResult = inserter.insert(working, apply=True, plan=plan)
         total_cap = working.total_capacitance()
         utilization = (
             total_cap / capacitance_limit if capacitance_limit is not None else None
         )
         outcome = CandidateOutcome(
-            buffer=candidate,
+            buffer=inserter.buffer,
             buffer_count=insertion.buffer_count,
             total_capacitance=total_cap,
             capacitance_utilization=utilization,

@@ -16,30 +16,46 @@ buffer type is used per run -- Contango's composite-inverter sweep simply
 re-runs the DP with different parallel compositions (see
 :mod:`repro.buffering.fast_buffering`).
 
-With one buffer type and pruned option lists the run time is within a small
-factor of the O(n log n) algorithm of Shi & Li that the paper adopts, while
-remaining straightforward to verify.
+Cost.  Every list is pruned to its non-dominated options and capped at
+``max_options`` (K, default 32) by even downsampling along the cap axis.  A
+merge forms the full cross product of its children's lists -- the ``tau``
+axis rules out the linear two-axis merge of the classical algorithm -- so it
+prunes up to K^2 candidates; a station or a wire segment prunes at most 2K.
+:meth:`VanGinnekenInserter._prune` sorts its m candidates once
+(O(m log m)) and decides each by at most three bisections of two
+``(tau, req)`` staircases of the options kept so far (each kept option
+enters and leaves each staircase at most once), exactly reproducing
+the greedy dominance order (see the method).  A DP over n nodes and s
+stations therefore costs O((n K^2 + s K) log K), against the O(n log n) of
+the Shi & Li algorithm the paper adopts, which needs a single two-axis
+frontier.  The stations and node legality are enumerated once per tree
+(:class:`StationPlan`) and shared by every buffer type of a sweep.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.units import LN9, OHM_FF_TO_PS
-from repro.buffering.candidates import BufferStation, enumerate_stations
+from repro.buffering.candidates import BufferStation, enumerate_stations, legality_rule
 from repro.cts.bufferlib import BufferType
-from repro.cts.tree import ClockTree
+from repro.cts.tree import ClockTree, TreeNode
 from repro.cts.wirelib import WireType
 from repro.geometry.obstacles import ObstacleSet
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
-__all__ = ["Option", "BufferInsertionResult", "VanGinnekenInserter"]
+__all__ = ["Option", "StationPlan", "BufferInsertionResult", "VanGinnekenInserter"]
 
 
-@dataclass(frozen=True)
-class Option:
+#: Absolute tolerance of option dominance on every axis.
+EPS = 1e-12
+
+
+class Option(NamedTuple):
     """One non-dominated buffering solution for a subtree."""
 
     cap: float
@@ -52,16 +68,37 @@ class Option:
     def dominates(self, other: "Option") -> bool:
         """True when this option is at least as good as ``other`` in every metric."""
         no_worse = (
-            self.cap <= other.cap + 1e-12
-            and self.req >= other.req - 1e-12
-            and self.tau <= other.tau + 1e-12
+            self.cap <= other.cap + EPS
+            and self.req >= other.req - EPS
+            and self.tau <= other.tau + EPS
         )
         strictly = (
-            self.cap < other.cap - 1e-12
-            or self.req > other.req + 1e-12
-            or self.tau < other.tau - 1e-12
+            self.cap < other.cap - EPS
+            or self.req > other.req + EPS
+            or self.tau < other.tau - EPS
         )
         return no_worse and strictly
+
+
+#: ``Option`` from a full field tuple, skipping the keyword-handling
+#: constructor: the DP builds every option through it.
+_option = partial(tuple.__new__, Option)
+
+
+@dataclass(frozen=True)
+class StationPlan:
+    """Where a buffer may go in one tree: edge stations and legal nodes.
+
+    ``stations`` maps each edge (by child node id) to its stations, as
+    :func:`~repro.buffering.candidates.enumerate_stations` returns them;
+    ``legal_nodes`` holds the internal non-root nodes that pass the legality
+    test.  Neither depends on the buffer type, and
+    :meth:`~repro.cts.tree.ClockTree.clone` keeps node ids, so one plan
+    serves every clone of the tree it was made for.
+    """
+
+    stations: Dict[int, List[BufferStation]]
+    legal_nodes: FrozenSet[int]
 
 
 @dataclass
@@ -102,8 +139,8 @@ class VanGinnekenInserter:
         self.max_options = max_options
 
     # ------------------------------------------------------------------
-    def insert(self, tree: ClockTree, apply: bool = True) -> BufferInsertionResult:
-        """Run the DP on ``tree`` and (optionally) apply the chosen buffering."""
+    def plan(self, tree: ClockTree) -> StationPlan:
+        """Enumerate the stations and legal internal nodes of ``tree``."""
         stations = enumerate_stations(
             tree,
             spacing=self.station_spacing,
@@ -111,27 +148,44 @@ class VanGinnekenInserter:
             die=self.die,
             legality=self.legality,
         )
+        is_legal = legality_rule(self.obstacles, self.die, self.legality)
+        legal_nodes = frozenset(
+            node.node_id
+            for node in tree.nodes()
+            if not node.is_sink and node.parent is not None and is_legal(node.position)
+        )
+        return StationPlan(stations=stations, legal_nodes=legal_nodes)
+
+    def insert(
+        self,
+        tree: ClockTree,
+        apply: bool = True,
+        plan: Optional[StationPlan] = None,
+    ) -> BufferInsertionResult:
+        """Run the DP on ``tree`` and (optionally) apply the chosen buffering.
+
+        ``plan`` must come from :meth:`plan` on ``tree`` or on a tree it was
+        cloned from (or that was cloned from it); it is made here when
+        omitted.
+        """
+        if plan is None:
+            plan = self.plan(tree)
+        stations, legal_nodes = plan.stations, plan.legal_nodes
         options_at: Dict[int, List[Option]] = {}
         edge_top: Dict[int, List[Option]] = {}
 
         for node in tree.postorder():
+            node_id = node.node_id
             if node.is_sink:
-                options_at[node.node_id] = [
-                    Option(cap=tree.node_load_capacitance(node.node_id), req=0.0, tau=0.0)
-                ]
+                options = [Option(tree.node_load_capacitance(node_id), 0.0, 0.0)]
             else:
-                merged = self._merge_children(
-                    [edge_top[child] for child in node.children]
-                )
-                if node.parent is not None and self._node_is_legal(tree, node.node_id):
-                    merged = self._with_buffered_variants(
-                        merged, ("node", node.node_id)
-                    )
-                options_at[node.node_id] = self._prune(merged)
+                options = self._merge_children([edge_top[child] for child in node.children])
+                if node_id in legal_nodes:
+                    options = self._with_buffered_variants(options, ("node", node_id))
+                options = self._prune(options)
+            options_at[node_id] = options
             if node.parent is not None:
-                edge_top[node.node_id] = self._propagate_edge(
-                    tree, node.node_id, options_at[node.node_id], stations[node.node_id]
-                )
+                edge_top[node_id] = self._propagate_edge(node, options, stations[node_id])
 
         best = self._select_root_option(tree, options_at[tree.root_id])
         node_sites, station_sites = self._traceback(best)
@@ -150,82 +204,79 @@ class VanGinnekenInserter:
     # ------------------------------------------------------------------
     # DP building blocks
     # ------------------------------------------------------------------
-    def _node_is_legal(self, tree: ClockTree, node_id: int) -> bool:
-        position = tree.node(node_id).position
-        if self.legality is not None:
-            return self.legality(position)
-        if self.die is not None and not self.die.contains_point(position):
-            return False
-        if self.obstacles is not None and self.obstacles.blocks_point(position):
-            return False
-        return True
-
     def _merge_children(self, option_lists: Sequence[List[Option]]) -> List[Option]:
         if not option_lists:
-            return [Option(cap=0.0, req=0.0, tau=0.0)]
+            return [Option(0.0, 0.0, 0.0)]
         current = option_lists[0]
         for other in option_lists[1:]:
             combined: List[Option] = []
             for a in current:
+                a_cap, a_req, a_tau, a_buffers = a.cap, a.req, a.tau, a.nbuffers
                 for b in other:
+                    b_req, b_tau = b.req, b.tau
+                    # min(a.req, b.req) and max(a.tau, b.tau), ties going to
+                    # ``a`` as they do there, without two builtin calls per pair.
                     combined.append(
-                        Option(
-                            cap=a.cap + b.cap,
-                            req=min(a.req, b.req),
-                            tau=max(a.tau, b.tau),
-                            nbuffers=a.nbuffers + b.nbuffers,
-                            derived_from=(a, b),
+                        _option(
+                            (
+                                a_cap + b.cap,
+                                b_req if b_req < a_req else a_req,
+                                b_tau if b_tau > a_tau else a_tau,
+                                a_buffers + b.nbuffers,
+                                None,
+                                (a, b),
+                            )
                         )
                     )
             current = self._prune(combined)
         return current
 
     def _propagate_edge(
-        self,
-        tree: ClockTree,
-        edge_node: int,
-        options: List[Option],
-        stations: List[BufferStation],
+        self, node: TreeNode, options: List[Option], stations: List[BufferStation]
     ) -> List[Option]:
-        node = tree.node(edge_node)
         wire = node.wire_type
-        length = node.edge_length()
-        current = list(options)
+        current = options
         walked = 0.0
         for station in stations:
-            current = [
-                self._extend_wire(opt, wire, station.distance_from_child - walked)
-                for opt in current
-            ]
+            current = self._extend_wire(current, wire, station.distance_from_child - walked)
             walked = station.distance_from_child
             if station.legal:
                 current = self._with_buffered_variants(current, ("station", station))
             current = self._prune(current)
-        current = [self._extend_wire(opt, wire, length - walked) for opt in current]
+        current = self._extend_wire(current, wire, node.edge_length() - walked)
         return self._prune(current)
 
-    def _extend_wire(self, option: Option, wire: Optional[WireType], length: float) -> Option:
+    def _extend_wire(
+        self, options: List[Option], wire: Optional[WireType], length: float
+    ) -> List[Option]:
+        """Every option seen through ``length`` more of ``wire`` above it."""
         if wire is None or length <= 0.0:
-            return option
+            return options
         res = wire.resistance(length)
         cap = wire.capacitance(length)
-        delay = res * (cap / 2.0 + option.cap) * OHM_FF_TO_PS
-        return Option(
-            cap=option.cap + cap,
-            req=option.req - delay,
-            tau=option.tau + delay,
-            nbuffers=option.nbuffers,
-            derived_from=(option,),
-        )
+        half_cap = cap / 2.0
+        extended: List[Option] = []
+        for opt in options:
+            delay = res * (half_cap + opt.cap) * OHM_FF_TO_PS
+            extended.append(
+                _option(
+                    (opt.cap + cap, opt.req - delay, opt.tau + delay, opt.nbuffers, None, (opt,))
+                )
+            )
+        return extended
 
     def _with_buffered_variants(
         self, options: List[Option], site: Tuple[str, object]
     ) -> List[Option]:
         buffered: List[Option] = []
-        tau_budget = self.slew_margin * self.slew_limit / LN9
+        slew_cap = self.slew_margin * self.slew_limit
+        tau_budget = slew_cap / LN9
+        output_res = self.buffer.output_res
+        intrinsic = self.buffer.intrinsic_delay
+        input_cap = self.buffer.input_cap
         for opt in options:
-            slew = LN9 * (self.buffer.output_res * opt.cap * OHM_FF_TO_PS + opt.tau)
-            if slew > self.slew_margin * self.slew_limit and opt.tau <= tau_budget:
+            drive = output_res * opt.cap * OHM_FF_TO_PS
+            if LN9 * (drive + opt.tau) > slew_cap and opt.tau <= tau_budget:
                 # The slew problem is caused by accumulated capacitance, which a
                 # buffer placed further down could have fixed -- other options
                 # cover that, so this variant is not needed.  When ``tau`` alone
@@ -234,31 +285,61 @@ class VanGinnekenInserter:
                 # buffer is still allowed here so the damage stays contained
                 # instead of poisoning every option up to the root.
                 continue
-            gate_delay = (
-                self.buffer.intrinsic_delay
-                + self.buffer.output_res * opt.cap * OHM_FF_TO_PS
-            )
+            gate_delay = intrinsic + drive
             buffered.append(
-                Option(
-                    cap=self.buffer.input_cap,
-                    req=opt.req - gate_delay,
-                    tau=0.0,
-                    nbuffers=opt.nbuffers + 1,
-                    site=site,
-                    derived_from=(opt,),
-                )
+                _option((input_cap, opt.req - gate_delay, 0.0, opt.nbuffers + 1, site, (opt,)))
             )
         return options + buffered
 
     def _prune(self, options: List[Option]) -> List[Option]:
+        """Greedy dominance pruning in ``(cap, -req, tau)`` order.
+
+        A candidate is dropped when an option already kept dominates it
+        (:meth:`Option.dominates`).  Kept options precede the candidate in
+        cap order, so a kept ``k`` dominates candidate ``c`` exactly when
+        ``k.req >= c.req - EPS`` and ``k.tau <= c.tau + EPS`` and one of
+        ``k.req > c.req + EPS``, ``k.tau < c.tau - EPS`` or
+        ``k.cap < c.cap - EPS`` holds.  Each of those three cases is one
+        prefix-maximum query "best ``req`` over kept options with ``tau``
+        below a bound", answered by bisecting a staircase: the first two on
+        the staircase of every kept option, the cap case on a second one
+        that holds only the kept options more than ``EPS`` below the
+        candidate's cap (a prefix of ``kept``, which only grows because the
+        candidates arrive in cap order).
+        """
         if len(options) <= 1:
             return options
         ordered = sorted(options, key=lambda o: (o.cap, -o.req, o.tau))
         kept: List[Option] = []
+        taus: List[float] = []
+        reqs: List[float] = []
+        low_taus: List[float] = []
+        low_reqs: List[float] = []
+        below = 0
         for candidate in ordered:
-            if any(existing.dominates(candidate) for existing in kept):
-                continue
+            cap, req, tau, _, _, _ = candidate
+            req_lo = req - EPS
+            tau_hi = tau + EPS
+            i = bisect_right(taus, tau_hi)
+            if i and reqs[i - 1] >= req_lo:
+                # A kept option is no worse on req and tau; the candidate
+                # goes if one such option is strictly better on some axis.
+                if reqs[i - 1] > req + EPS:
+                    continue
+                i = bisect_left(taus, tau - EPS)
+                if i and reqs[i - 1] >= req_lo:
+                    continue
+                # The cap staircase is only brought up to date here, where
+                # it is needed.
+                cap_lo = cap - EPS
+                while below < len(kept) and kept[below].cap < cap_lo:
+                    _climb(low_taus, low_reqs, kept[below].tau, kept[below].req)
+                    below += 1
+                i = bisect_right(low_taus, tau_hi)
+                if i and low_reqs[i - 1] >= req_lo:
+                    continue
             kept.append(candidate)
+            _climb(taus, reqs, tau, req)
         if len(kept) > self.max_options:
             # Downsample along the capacitance axis.  The low-cap (heavily
             # buffered) end of the frontier must survive -- its value only
@@ -325,3 +406,23 @@ class VanGinnekenInserter:
                 tree.place_buffer(new_node, self.buffer)
                 previous_fraction = station.fraction_from_parent
         tree.validate()
+
+
+def _climb(taus: List[float], reqs: List[float], tau: float, req: float) -> None:
+    """Add ``(tau, req)`` to a staircase.
+
+    A staircase keeps ``taus`` non-decreasing and ``reqs`` strictly
+    increasing, so the best ``req`` among the points added with
+    ``tau <= t`` is ``reqs[bisect_right(taus, t) - 1]`` (and with
+    ``tau < t``, ``reqs[bisect_left(taus, t) - 1]``).  A point that an
+    earlier one matches or beats on both axes is left out, and the points
+    the new one beats are removed.
+    """
+    i = bisect_right(taus, tau)
+    if i and reqs[i - 1] >= req:
+        return
+    j = i
+    while j < len(reqs) and reqs[j] <= req:
+        j += 1
+    taus[i:j] = [tau]
+    reqs[i:j] = [req]

@@ -1,5 +1,5 @@
 """The registered perf cases: evaluator, variation, service, propagation,
-trace and serve.
+trace, serve and construction.
 
 Each case is a registered :class:`~repro.perf.case.PerfCase`: the workload
 runs under the supplied tracer (so span paths and span counters land in the
@@ -14,19 +14,23 @@ remainder.  Run one with ``repro perf run --case NAME``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import hashlib
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+import repro.core.pipeline as pipeline_module
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.variation import VariationModel, default_variation_model
 from repro.api.jobs import JobSpec
 from repro.api.records import stable_record
 from repro.api.service import SynthesisService
+from repro.buffering.fast_buffering import BufferSizingSweepResult
 from repro.core import ContangoFlow, FlowConfig
 from repro.obs import NULL_TRACER, Span, Tracer, TracerBase, summarize
 from repro.perf.case import CaseCheck, CaseOutcome, PerfCase, register_case
-from repro.runner import run_job
+from repro.runner import resolve_instance, run_job
 from repro.seeding import derive_rng
 from repro.workloads import generate_ti_benchmark, instance_fingerprint
 
@@ -37,6 +41,7 @@ __all__ = [
     "PropagationCase",
     "TraceCase",
     "ServeCase",
+    "ConstructionCase",
 ]
 
 SINKS = 200
@@ -603,4 +608,79 @@ class ServeCase(PerfCase):
                 ),
             ]
         )
+        return outcome
+
+
+@contextmanager
+def _spanned_sweep(
+    tracer: TracerBase, sweeps: List[Tuple[BufferSizingSweepResult, Optional[Span]]]
+) -> Iterator[None]:
+    """Run every buffering sweep of the INITIAL pass in a ``buffer_sweep`` span.
+
+    The sweep is wrapped at the module-level name the pass calls it by, and
+    each call's result and span are appended to ``sweeps``.
+    """
+    sweep = pipeline_module.insert_buffers_with_sizing
+
+    def spanned(*args: Any, **kwargs: Any) -> BufferSizingSweepResult:
+        with tracer.span("buffer_sweep") as span:
+            result = sweep(*args, **kwargs)
+        sweeps.append((result, span))
+        return result
+
+    setattr(pipeline_module, "insert_buffers_with_sizing", spanned)
+    try:
+        yield
+    finally:
+        setattr(pipeline_module, "insert_buffers_with_sizing", sweep)
+
+
+@register_case
+class ConstructionCase(PerfCase):
+    """Whole Contango jobs at two sizes, the buffering sweep in its own span.
+
+    Each job runs end to end (instance, construction, IVC passes, record)
+    under a span named after it, and the composite-inverter sweep of its
+    INITIAL pass runs inside a ``buffer_sweep`` span below ``pass:initial``,
+    so the entry attributes the job's time to the sweep at each size.  The
+    sweep's chosen buffer count and the number of ladder candidates it tried
+    are the deterministic counters; job and sweep wall-clock go to timings.
+    """
+
+    name = "construction"
+    description = (
+        f"ispd09f31:0.35 and ti:1000 contango jobs ({ENGINE}): buffering sweep span"
+    )
+    repeats = 3
+
+    JOBS = (
+        ("ispd09f31", JobSpec(instance="ispd09:ispd09f31:0.35", engine=ENGINE)),
+        ("ti1000", JobSpec(instance="ti:1000", engine=ENGINE)),
+    )
+
+    def __init__(self) -> None:
+        self._fingerprint = ""
+
+    def fingerprint(self) -> str:
+        if not self._fingerprint:
+            joined = ",".join(
+                instance_fingerprint(resolve_instance(spec)) for _, spec in self.JOBS
+            )
+            self._fingerprint = hashlib.sha256(joined.encode()).hexdigest()
+        return self._fingerprint
+
+    def run_once(self, tracer: TracerBase) -> CaseOutcome:
+        outcome = CaseOutcome()
+        for label, spec in self.JOBS:
+            sweeps: List[Tuple[BufferSizingSweepResult, Optional[Span]]] = []
+            with tracer.span(label) as job_span, _spanned_sweep(tracer, sweeps):
+                run_job(spec, tracer=tracer)
+            [(sweep, sweep_span)] = sweeps
+            chosen = sweep.chosen
+            outcome.counters[f"{label}_buffer_count"] = (
+                chosen.buffer_count if chosen is not None else 0
+            )
+            outcome.counters[f"{label}_candidates"] = len(sweep.outcomes)
+            outcome.timings[f"{label}_job_s"] = _span_s(job_span)
+            outcome.timings[f"{label}_sweep_s"] = _span_s(sweep_span)
         return outcome

@@ -161,3 +161,25 @@ class TestRunCase:
     def test_registry_holds_classes_not_instances(self):
         for name in available_cases():
             assert isinstance(CASE_REGISTRY[name], type)
+
+
+class TestConstructionCase:
+    def test_sweep_runs_in_its_own_span_and_the_hook_is_restored(self, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+        from repro.api.jobs import JobSpec
+        from repro.obs import Tracer, path_timings
+        from repro.perf.cases import ConstructionCase
+
+        monkeypatch.setattr(
+            ConstructionCase,
+            "JOBS",
+            (("small", JobSpec(instance="ti:40", engine="elmore", pipeline=("initial",))),),
+        )
+        sweep = pipeline_module.insert_buffers_with_sizing
+        tracer = Tracer()
+        outcome = ConstructionCase().run_once(tracer)
+        assert pipeline_module.insert_buffers_with_sizing is sweep
+        assert "small/job/flow:contango/pass:initial/buffer_sweep" in path_timings(tracer)
+        assert outcome.counters["small_candidates"] == 4
+        assert outcome.counters["small_buffer_count"] > 0
+        assert set(outcome.timings) == {"small_job_s", "small_sweep_s"}
