@@ -1,5 +1,5 @@
 """The registered perf cases: evaluator, variation, service, propagation,
-trace, serve and construction.
+trace, serve, construction and mc_job.
 
 Each case is a registered :class:`~repro.perf.case.PerfCase`: the workload
 runs under the supplied tracer (so span paths and span counters land in the
@@ -23,14 +23,15 @@ import numpy as np
 import repro.core.pipeline as pipeline_module
 from repro.analysis import ClockNetworkEvaluator, EvaluatorConfig
 from repro.analysis.variation import VariationModel, default_variation_model
-from repro.api.jobs import JobSpec
+from repro.api.jobs import JobSpec, McJobSpec
 from repro.api.records import stable_record
 from repro.api.service import SynthesisService
 from repro.buffering.fast_buffering import BufferSizingSweepResult
 from repro.core import ContangoFlow, FlowConfig
+from repro.core.variation import VariationGate
 from repro.obs import NULL_TRACER, Span, Tracer, TracerBase, summarize
 from repro.perf.case import CaseCheck, CaseOutcome, PerfCase, register_case
-from repro.runner import resolve_instance, run_job
+from repro.runner import resolve_instance, run_job, run_mc_job, spec_fingerprint
 from repro.seeding import derive_rng
 from repro.workloads import generate_ti_benchmark, instance_fingerprint
 
@@ -42,6 +43,7 @@ __all__ = [
     "TraceCase",
     "ServeCase",
     "ConstructionCase",
+    "McJobCase",
 ]
 
 SINKS = 200
@@ -611,28 +613,33 @@ class ServeCase(PerfCase):
         return outcome
 
 
+#: One call caught by :func:`_spanned`: (first argument, result, span).
+_SpannedCall = Tuple[Any, Any, Optional[Span]]
+
+
 @contextmanager
-def _spanned_sweep(
-    tracer: TracerBase, sweeps: List[Tuple[BufferSizingSweepResult, Optional[Span]]]
+def _spanned(
+    tracer: TracerBase, owner: Any, name: str, span_name: str, calls: List[_SpannedCall]
 ) -> Iterator[None]:
-    """Run every buffering sweep of the INITIAL pass in a ``buffer_sweep`` span.
+    """Run every call of ``owner.name`` in a ``span_name`` span.
 
-    The sweep is wrapped at the module-level name the pass calls it by, and
-    each call's result and span are appended to ``sweeps``.
+    The attribute is wrapped under the name its callers look it up by (a
+    module function or a class method), and each call's first argument
+    (``self`` for a method), result and span are appended to ``calls``.
     """
-    sweep = pipeline_module.insert_buffers_with_sizing
+    original = getattr(owner, name)
 
-    def spanned(*args: Any, **kwargs: Any) -> BufferSizingSweepResult:
-        with tracer.span("buffer_sweep") as span:
-            result = sweep(*args, **kwargs)
-        sweeps.append((result, span))
+    def spanned(*args: Any, **kwargs: Any) -> Any:
+        with tracer.span(span_name) as span:
+            result = original(*args, **kwargs)
+        calls.append((args[0] if args else None, result, span))
         return result
 
-    setattr(pipeline_module, "insert_buffers_with_sizing", spanned)
+    setattr(owner, name, spanned)
     try:
         yield
     finally:
-        setattr(pipeline_module, "insert_buffers_with_sizing", sweep)
+        setattr(owner, name, original)
 
 
 @register_case
@@ -672,10 +679,13 @@ class ConstructionCase(PerfCase):
     def run_once(self, tracer: TracerBase) -> CaseOutcome:
         outcome = CaseOutcome()
         for label, spec in self.JOBS:
-            sweeps: List[Tuple[BufferSizingSweepResult, Optional[Span]]] = []
-            with tracer.span(label) as job_span, _spanned_sweep(tracer, sweeps):
+            sweeps: List[_SpannedCall] = []
+            with tracer.span(label) as job_span, _spanned(
+                tracer, pipeline_module, "insert_buffers_with_sizing", "buffer_sweep", sweeps
+            ):
                 run_job(spec, tracer=tracer)
-            [(sweep, sweep_span)] = sweeps
+            [(_, sweep, sweep_span)] = sweeps
+            assert isinstance(sweep, BufferSizingSweepResult)
             chosen = sweep.chosen
             outcome.counters[f"{label}_buffer_count"] = (
                 chosen.buffer_count if chosen is not None else 0
@@ -683,4 +693,79 @@ class ConstructionCase(PerfCase):
             outcome.counters[f"{label}_candidates"] = len(sweep.outcomes)
             outcome.timings[f"{label}_job_s"] = _span_s(job_span)
             outcome.timings[f"{label}_sweep_s"] = _span_s(sweep_span)
+        return outcome
+
+
+@register_case
+class McJobCase(PerfCase):
+    """Whole Monte Carlo jobs, the two ``mc_yield`` benchmark specs.
+
+    Each job (synthesis, gated IVC rounds, final sweep, record) runs under a
+    span named after it.  Every ``evaluate_yield`` call runs in its own
+    ``evaluate_yield`` span, and the variation gate's ``prime``/``check``
+    calls in ``gate`` spans, so the entry splits the job's time between the
+    final ``yield_sweep`` and the gate.  Counters are the deterministic
+    facts: samples, gate checks and rejections, the skew yield and p95, and the
+    ``cache_stats()`` of the sweep and gate evaluators (one base-moment
+    lookup per stage per yield call).  Wall-clock goes to timings.
+    """
+
+    name = "mc_job"
+    description = (
+        f"ti:{SINKS} run_mc_job ({ENGINE}): 20k-sample sweep, 5k gated; "
+        "yield_sweep and gate spans"
+    )
+    repeats = 3
+
+    JOBS = (
+        ("sweep20k", McJobSpec(instance=f"ti:{SINKS}", engine=ENGINE, samples=20000)),
+        (
+            "gated5k",
+            McJobSpec(instance=f"ti:{SINKS}", engine=ENGINE, samples=5000, gated=True),
+        ),
+    )
+
+    def __init__(self) -> None:
+        self._fingerprint = ""
+
+    def fingerprint(self) -> str:
+        if not self._fingerprint:
+            joined = ",".join(spec_fingerprint(spec) for _, spec in self.JOBS)
+            self._fingerprint = hashlib.sha256(joined.encode()).hexdigest()
+        return self._fingerprint
+
+    def run_once(self, tracer: TracerBase) -> CaseOutcome:
+        outcome = CaseOutcome()
+        for label, spec in self.JOBS:
+            yields: List[_SpannedCall] = []
+            gates: List[_SpannedCall] = []
+            with tracer.span(label) as job_span, _spanned(
+                tracer, ClockNetworkEvaluator, "evaluate_yield", "evaluate_yield", yields
+            ), _spanned(tracer, VariationGate, "prime", "gate", gates), _spanned(
+                tracer, VariationGate, "check", "gate", gates
+            ):
+                record = run_mc_job(spec, tracer=tracer)
+            gate = gates[0][0] if gates else None
+            sweep_evaluator = yields[-1][0]
+            summary = record.yield_
+            outcome.counters[f"{label}_samples"] = record.samples
+            outcome.counters[f"{label}_yield_calls"] = len(yields)
+            outcome.counters[f"{label}_gate_checks"] = gate.checks if gate else 0
+            outcome.counters[f"{label}_gate_rejections"] = gate.rejections if gate else 0
+            outcome.counters[f"{label}_skew_yield_millis"] = int(
+                round((summary.skew_yield or 0.0) * 1000)
+            )
+            outcome.counters[f"{label}_skew_p95_fs"] = int(
+                round((summary.skew_p95_ps or 0.0) * 1000)
+            )
+            outcome.counters.update(
+                _prefixed(f"{label}_sweep_cache_", sweep_evaluator.cache_stats())
+            )
+            if gate is not None:
+                outcome.counters.update(
+                    _prefixed(f"{label}_gate_cache_", gate.evaluator.cache_stats())
+                )
+            outcome.timings[f"{label}_job_s"] = _span_s(job_span)
+            outcome.timings[f"{label}_sweep_s"] = _span_s(yields[-1][2])
+            outcome.timings[f"{label}_gate_s"] = sum(_span_s(span) for _, _, span in gates)
         return outcome

@@ -183,3 +183,56 @@ class TestConstructionCase:
         assert outcome.counters["small_candidates"] == 4
         assert outcome.counters["small_buffer_count"] > 0
         assert set(outcome.timings) == {"small_job_s", "small_sweep_s"}
+
+
+class TestMcJobCase:
+    def test_sweep_and_gate_run_in_their_own_spans_and_the_hooks_are_restored(
+        self, monkeypatch
+    ):
+        from repro.analysis import ClockNetworkEvaluator
+        from repro.api.jobs import McJobSpec
+        from repro.core.variation import VariationGate
+        from repro.obs import Tracer, path_timings
+        from repro.perf.cases import McJobCase
+
+        monkeypatch.setattr(
+            McJobCase,
+            "JOBS",
+            (
+                ("plain", McJobSpec(instance="ti:40", engine="elmore", samples=50)),
+                (
+                    "gated",
+                    McJobSpec(
+                        instance="ti:40", engine="elmore", samples=30, gated=True, gate_samples=16
+                    ),
+                ),
+            ),
+        )
+        originals = (
+            ClockNetworkEvaluator.evaluate_yield,
+            VariationGate.prime,
+            VariationGate.check,
+        )
+        tracer = Tracer()
+        outcome = McJobCase().run_once(tracer)
+        assert (
+            ClockNetworkEvaluator.evaluate_yield,
+            VariationGate.prime,
+            VariationGate.check,
+        ) == originals
+        paths = path_timings(tracer)
+        assert "plain/job/yield_sweep/evaluate_yield" in paths
+        assert any(path.startswith("gated/") and path.endswith("/gate") for path in paths)
+        counters = outcome.counters
+        assert counters["plain_samples"] == 50 and counters["plain_yield_calls"] == 1
+        assert counters["plain_gate_checks"] == 0
+        assert counters["gated_gate_checks"] >= counters["gated_gate_rejections"]
+        assert counters["gated_yield_calls"] > counters["gated_gate_checks"]
+        # One base-moment lookup per stage: a fresh sweep evaluator misses
+        # exactly once per stage and never hits.
+        assert counters["plain_sweep_cache_hits"] == 0
+        assert counters["plain_sweep_cache_misses"] == counters["plain_sweep_cache_base_moments"]
+        assert "gated_gate_cache_hits" in counters
+        assert set(outcome.timings) == {
+            f"{label}_{kind}_s" for label in ("plain", "gated") for kind in ("job", "sweep", "gate")
+        }
