@@ -14,14 +14,15 @@ Two implementations live here:
   per-network recurrences on a :class:`StageNetwork` (any topological node
   order, one corner at a time), kept as the public single-stage API;
 * the **vectorized batch path** used by the incremental evaluator:
-  :func:`base_tap_moments` reduces a corner-independent
-  :class:`~repro.analysis.rcnetwork.BaseStageNetwork` to a handful of
-  per-tap base vectors with numpy prefix sums (no per-segment Python loop),
-  and :func:`wire_terms` plus :func:`batched_tap_moments` turn those into
-  exact ``m1``/``m2``.  The factorization rests on the corner model being a
-  per-stage scaling: with wire scales ``r`` (res) and ``w`` (cap, applied to
-  wire capacitance only) and total driver resistance ``D``, the moment
-  recurrences separate into
+  :func:`base_tap_moments` reduces a batch of corner-independent
+  :class:`~repro.analysis.rcnetwork.BaseStageNetwork` stages to a handful of
+  per-tap base vectors with numpy prefix sums over one padded
+  ``(stages, segments)`` array set (no per-segment or per-stage Python
+  loop), and :func:`wire_terms` plus :func:`batched_tap_moments` turn those
+  into exact ``m1``/``m2``.  The factorization rests on the corner model
+  being a per-stage scaling: with wire scales ``r`` (res) and ``w`` (cap,
+  applied to wire capacitance only) and total driver resistance ``D``, the
+  moment recurrences separate into
 
       m1 = D*K(w) + r*a(w)
       m2 = D^2*K(w)^2 + D*r*A0(w) + D*K(w)*r*a(w) + r^2*P(w)
@@ -33,23 +34,24 @@ Two implementations live here:
   :func:`wire_terms` evaluates the ``D``-free terms once per wire scaling;
   :func:`batched_tap_moments` adds the ``D`` terms for each driver scaling.
 
-The same two functions serve two layouts.  The nominal evaluator passes one
-stage's :class:`BaseTapMoments` with ``(M, 1)`` scale columns, one row per
-corner-and-transition combination, and gets ``(M, taps)`` arrays.  The Monte
-Carlo kernel passes a :class:`StackedTapMoments` -- every stage of the tree,
-taps concatenated in buffer-level order -- with ``(stages, samples)`` scale
-arrays, and gets ``(taps, samples)`` arrays: the per-stage terms are
-computed at stage width and gathered to the taps through ``tap_stage``, so
-each stage uses its own driver scale with no per-tap selection.  On ti:200
-(46 stages, 245 taps) one such pass covers 256 samples of one launch in
-about 0.6 ms on a 2-CPU Xeon host.  :func:`batched_delay_sigma` then turns
-the moments into delay and slew sigma in place.
+There is one layout, :class:`StackedTapMoments`: several stages' taps
+concatenated stage after stage, taken with ``(stages, width)`` scale arrays
+and giving ``(taps, width)`` arrays.  The per-stage terms are computed at
+stage width and gathered to the taps through ``tap_stage``, so each stage
+uses its own scale with no per-tap selection.  :func:`base_tap_moments`
+produces it directly for the stages an evaluation misses, whose width is
+the ``M`` corner-and-transition combinations; the Monte Carlo kernel
+stacks every stage of the tree in buffer-level order from the cached
+per-stage :class:`BaseTapMoments` records (:func:`stack_tap_moments`), with
+one column per sample.  On ti:200 (46 stages, 245 taps) one such pass
+covers 256 samples of one launch in about 0.6 ms on a 2-CPU Xeon host.
+:func:`batched_delay_sigma` then turns the moments into delay and slew
+sigma in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +136,7 @@ def arnoldi_stage_timing(network: StageNetwork, input_slew: float) -> StageTimin
 # ----------------------------------------------------------------------
 # Vectorized multi-corner path (used by the incremental evaluator)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BaseTapMoments:
+class BaseTapMoments(NamedTuple):
     """Corner-independent moment ingredients of one stage, reduced to its taps.
 
     Capacitance enters in two components -- wire (``w``-scaled by
@@ -144,6 +145,10 @@ class BaseTapMoments:
     (the second-moment ingredients) splits in three by powers of ``w``.  All
     quantities are in raw ohm/fF units (no :data:`OHM_FF_TO_PS` applied); the
     conversion happens in :func:`batched_tap_moments`.
+
+    This is the per-stage cache record: :meth:`StackedTapMoments.stage` splits
+    it out of a batched reduction and :func:`stack_tap_moments` stacks records
+    back into the layout the moment functions take.
     """
 
     tap_ids: Tuple[int, ...]
@@ -160,83 +165,19 @@ class BaseTapMoments:
     driver_resistance: float  # unscaled driver resistance
 
 
-def base_tap_moments(base: BaseStageNetwork, split_wire_load: bool = True) -> BaseTapMoments:
-    """Reduce a base stage network to the per-tap moment base vectors.
-
-    Every per-segment accumulation (downstream capacitance, the two path-sum
-    sweeps of the m1/m2 recurrences) runs as numpy prefix sums over the whole
-    segment array at once.
-
-    ``split_wire_load=False`` collapses wire and load capacitance into the
-    (never ``w``-scaled) load component, halving the reduction work.  It is
-    only valid when every corner subsequently passed to
-    :func:`batched_tap_moments` has ``wire_cap_scale == 1.0`` -- true for the
-    ISPD'09 corner set -- in which case the results are identical.
-    """
-    cap_w = base.wire_capacitance
-    cap_l = base.load_capacitance
-    res = base.resistance
-    end = base.subtree_end
-    taps = base.tap_indices
-    if not split_wire_load:
-        cap = cap_w + cap_l
-        cdown = subtree_interval_sums(cap, end)
-        a = path_sums(res * cdown, end)
-        weighted = cap * a
-        p = path_sums(res * subtree_interval_sums(weighted, end), end)
-        zeros = np.zeros(len(taps))
-        return BaseTapMoments(
-            tap_ids=tuple(base.tap_ids),
-            a_wire_tap=zeros,
-            a_load_tap=a[taps],
-            p_ww_tap=zeros,
-            p_mixed_tap=zeros,
-            p_ll_tap=p[taps],
-            wire_cap_total=0.0,
-            load_cap_total=float(cap.sum()),
-            a0_ww=0.0,
-            a0_mixed=0.0,
-            a0_ll=float(weighted.sum()),
-            driver_resistance=base.driver_resistance,
-        )
-    cdown_w = subtree_interval_sums(cap_w, end)
-    cdown_l = subtree_interval_sums(cap_l, end)
-    a_w = path_sums(res * cdown_w, end)
-    a_l = path_sums(res * cdown_l, end)
-    weighted_ww = cap_w * a_w
-    weighted_mixed = cap_w * a_l + cap_l * a_w
-    weighted_ll = cap_l * a_l
-    p_ww = path_sums(res * subtree_interval_sums(weighted_ww, end), end)
-    p_mixed = path_sums(res * subtree_interval_sums(weighted_mixed, end), end)
-    p_ll = path_sums(res * subtree_interval_sums(weighted_ll, end), end)
-    return BaseTapMoments(
-        tap_ids=tuple(base.tap_ids),
-        a_wire_tap=a_w[taps],
-        a_load_tap=a_l[taps],
-        p_ww_tap=p_ww[taps],
-        p_mixed_tap=p_mixed[taps],
-        p_ll_tap=p_ll[taps],
-        wire_cap_total=float(cap_w.sum()),
-        load_cap_total=float(cap_l.sum()),
-        a0_ww=float(weighted_ww.sum()),
-        a0_mixed=float(weighted_mixed.sum()),
-        a0_ll=float(weighted_ll.sum()),
-        driver_resistance=base.driver_resistance,
-    )
-
-
-
-@dataclass(frozen=True)
-class StackedTapMoments:
+class StackedTapMoments(NamedTuple):
     """The :class:`BaseTapMoments` of several stages, stacked for one batched pass.
 
     Per-tap vectors are concatenated stage after stage into ``(taps, 1)``
     columns and per-stage totals into ``(stages, 1)`` columns, so scale
     arrays of shape ``(stages, width)`` broadcast against the totals and
     their gathered ``(taps, width)`` rows against the tap vectors.
-    ``tap_stage[j]`` is the stage row of tap row ``j``.
+    ``tap_stage[j]`` is the stage row of tap row ``j``; stage ``i`` owns tap
+    rows ``tap_offsets[i]:tap_offsets[i + 1]``.
     """
 
+    tap_ids: Tuple[int, ...]
+    tap_offsets: Tuple[int, ...]
     tap_stage: np.ndarray
     a_wire_tap: np.ndarray
     a_load_tap: np.ndarray
@@ -250,6 +191,134 @@ class StackedTapMoments:
     a0_ll: np.ndarray
     driver_resistance: np.ndarray
 
+    def stage(self, row: int) -> BaseTapMoments:
+        """Stage ``row``'s reduction on its own (tap vectors are views)."""
+        t0 = self.tap_offsets[row]
+        t1 = self.tap_offsets[row + 1]
+        return BaseTapMoments(
+            tap_ids=self.tap_ids[t0:t1],
+            a_wire_tap=self.a_wire_tap[t0:t1, 0],
+            a_load_tap=self.a_load_tap[t0:t1, 0],
+            p_ww_tap=self.p_ww_tap[t0:t1, 0],
+            p_mixed_tap=self.p_mixed_tap[t0:t1, 0],
+            p_ll_tap=self.p_ll_tap[t0:t1, 0],
+            wire_cap_total=float(self.wire_cap_total[row, 0]),
+            load_cap_total=float(self.load_cap_total[row, 0]),
+            a0_ww=float(self.a0_ww[row, 0]),
+            a0_mixed=float(self.a0_mixed[row, 0]),
+            a0_ll=float(self.a0_ll[row, 0]),
+            driver_resistance=float(self.driver_resistance[row, 0]),
+        )
+
+
+def base_tap_moments(
+    bases: Sequence[BaseStageNetwork], split_wire_load: bool = True
+) -> StackedTapMoments:
+    """Reduce base stage networks to their per-tap moment base vectors in one pass.
+
+    The stages are packed into ``(stages, width)`` arrays, one zero-padded
+    row per stage with at least one padding column, so every per-segment
+    accumulation (downstream capacitance, the two path-sum sweeps of the
+    m1/m2 recurrences) runs as one numpy prefix-sum pass over all stages.
+    Each row's cumulative sums and scatter-adds see exactly that stage's
+    segments, in order, so every value equals the one a stage reduced on its
+    own would get.  The stage totals are ``ndarray.sum()`` of each stage's
+    own segments: summing a padded row would change numpy's pairwise
+    summation order.
+
+    ``split_wire_load=False`` collapses wire and load capacitance into the
+    (never ``w``-scaled) load component, halving the reduction work.  It is
+    only valid when every corner subsequently passed to
+    :func:`batched_tap_moments` has ``wire_cap_scale == 1.0`` -- true for the
+    ISPD'09 corner set -- in which case the results are identical.
+    """
+    count = len(bases)
+    sizes = [base.size for base in bases]
+    width = max(sizes) + 1
+    res: List[float] = []
+    cap_w: List[float] = []
+    cap_l: List[float] = []
+    end: List[int] = []
+    taps: List[int] = []
+    tap_ids: List[int] = []
+    tap_stage: List[int] = []
+    tap_offsets = [0]
+    for row, base in enumerate(bases):
+        pad = width - base.size
+        zeros = [0.0] * pad
+        res += base.resistance
+        res += zeros
+        cap_w += base.wire_capacitance
+        cap_w += zeros
+        cap_l += base.load_capacitance
+        cap_l += zeros
+        # Padding ends point at the row's last column, a bin no node reads.
+        end += base.subtree_end
+        end += [width - 1] * pad
+        offset = row * width
+        taps += [offset + index for index in base.tap_indices]
+        tap_ids += base.tap_ids
+        tap_stage += [row] * len(base.tap_ids)
+        tap_offsets.append(len(tap_ids))
+    resistance, wire, load = np.array((res, cap_w, cap_l)).reshape(3, count, width)
+    ends = np.array(end, dtype=np.intp).reshape(count, width)
+    ends += np.arange(0, count * width, width, dtype=np.intp)[:, None]
+    tap_flat = np.array(taps, dtype=np.intp)[:, None]
+
+    def totals(*quantities: np.ndarray) -> List[np.ndarray]:
+        """``(stages, 1)`` sums of each quantity over each stage's own nodes."""
+        add = np.add.reduce  # what ndarray.sum() runs
+        sums = np.array(
+            [[add(q[row, :n]) for q in quantities] for row, n in enumerate(sizes)]
+        )
+        return [sums[:, column : column + 1] for column in range(len(quantities))]
+
+    if split_wire_load:
+        a_w = path_sums(resistance * subtree_interval_sums(wire, ends), ends)
+        a_l = path_sums(resistance * subtree_interval_sums(load, ends), ends)
+        weighted_ww = wire * a_w
+        weighted_mixed = wire * a_l + load * a_w
+        weighted_ll = load * a_l
+        p_ww = path_sums(resistance * subtree_interval_sums(weighted_ww, ends), ends)
+        p_mixed = path_sums(
+            resistance * subtree_interval_sums(weighted_mixed, ends), ends
+        )
+        p_ll = path_sums(resistance * subtree_interval_sums(weighted_ll, ends), ends)
+        a_wire_tap = a_w.take(tap_flat)
+        a_load_tap = a_l.take(tap_flat)
+        p_ww_tap = p_ww.take(tap_flat)
+        p_mixed_tap = p_mixed.take(tap_flat)
+        p_ll_tap = p_ll.take(tap_flat)
+        wire_cap_total, load_cap_total, a0_ww, a0_mixed, a0_ll = totals(
+            wire, load, weighted_ww, weighted_mixed, weighted_ll
+        )
+    else:
+        cap = wire + load
+        a = path_sums(resistance * subtree_interval_sums(cap, ends), ends)
+        weighted = cap * a
+        p = path_sums(resistance * subtree_interval_sums(weighted, ends), ends)
+        a_load_tap = a.take(tap_flat)
+        p_ll_tap = p.take(tap_flat)
+        a_wire_tap = p_ww_tap = p_mixed_tap = np.zeros(a_load_tap.shape)
+        load_cap_total, a0_ll = totals(cap, weighted)
+        wire_cap_total = a0_ww = a0_mixed = np.zeros((count, 1))
+    return StackedTapMoments(
+        tap_ids=tuple(tap_ids),
+        tap_offsets=tuple(tap_offsets),
+        tap_stage=np.array(tap_stage, dtype=np.intp),
+        a_wire_tap=a_wire_tap,
+        a_load_tap=a_load_tap,
+        p_ww_tap=p_ww_tap,
+        p_mixed_tap=p_mixed_tap,
+        p_ll_tap=p_ll_tap,
+        wire_cap_total=wire_cap_total,
+        load_cap_total=load_cap_total,
+        a0_ww=a0_ww,
+        a0_mixed=a0_mixed,
+        a0_ll=a0_ll,
+        driver_resistance=np.array([[base.driver_resistance] for base in bases]),
+    )
+
 
 def stack_tap_moments(stages: Sequence[BaseTapMoments]) -> StackedTapMoments:
     """Stack per-stage reductions, in the given stage order, into one record."""
@@ -260,9 +329,14 @@ def stack_tap_moments(stages: Sequence[BaseTapMoments]) -> StackedTapMoments:
     def totals(name: str) -> np.ndarray:
         return np.array([getattr(m, name) for m in stages], dtype=float)[:, None]
 
+    tap_offsets = [0]
+    for m in stages:
+        tap_offsets.append(tap_offsets[-1] + len(m.tap_ids))
     return StackedTapMoments(
+        tap_ids=tuple(tap for m in stages for tap in m.tap_ids),
+        tap_offsets=tuple(tap_offsets),
         tap_stage=np.repeat(
-            np.arange(len(stages), dtype=np.intp), [len(m.tap_ids) for m in stages]
+            np.arange(len(stages), dtype=np.intp), np.diff(tap_offsets)
         ),
         a_wire_tap=taps("a_wire_tap"),
         a_load_tap=taps("a_load_tap"),
@@ -276,16 +350,6 @@ def stack_tap_moments(stages: Sequence[BaseTapMoments]) -> StackedTapMoments:
         a0_ll=totals("a0_ll"),
         driver_resistance=totals("driver_resistance"),
     )
-
-
-TapMoments = Union[BaseTapMoments, StackedTapMoments]
-
-
-def _per_tap(moments: TapMoments, stage_values: np.ndarray) -> np.ndarray:
-    """Stage-level values broadcast to tap rows (a gather for stacked moments)."""
-    if isinstance(moments, StackedTapMoments):
-        return stage_values[moments.tap_stage]
-    return stage_values
 
 
 class WireTerms(NamedTuple):
@@ -305,47 +369,51 @@ class WireTerms(NamedTuple):
 
 
 def wire_terms(
-    moments: TapMoments, wire_res_scales: np.ndarray, wire_cap_scales: np.ndarray
+    moments: StackedTapMoments, wire_res_scales: np.ndarray, wire_cap_scales: np.ndarray
 ) -> WireTerms:
     """The wire-scale terms of :func:`batched_tap_moments` for one wire scaling.
 
-    For a :class:`BaseTapMoments` the scales are ``(M, 1)`` columns, one row
-    per corner-and-transition combination; for a :class:`StackedTapMoments`
-    they are ``(stages, width)`` arrays.  ``wire_cap_scales`` applies only to
-    the wire-capacitance component, matching
-    :func:`repro.analysis.rcnetwork.build_stage_network`.
+    The scales are ``(stages, width)`` arrays: one row per stage, one column
+    per corner-and-transition combination (nominal evaluation) or per Monte
+    Carlo sample.  ``wire_cap_scales`` applies only to the wire-capacitance
+    component, matching :func:`repro.analysis.rcnetwork.build_stage_network`.
     """
+    stage = moments.tap_stage
     r = wire_res_scales
     w = wire_cap_scales
     ww = w * w
     k = w * moments.wire_cap_total + moments.load_cap_total
     a0 = ww * moments.a0_ww + w * moments.a0_mixed + moments.a0_ll
-    w_tap = _per_tap(moments, w)
+    w_tap = w.take(stage, axis=0)
     a = w_tap * moments.a_wire_tap + moments.a_load_tap
     p = (
-        _per_tap(moments, ww) * moments.p_ww_tap
+        ww.take(stage, axis=0) * moments.p_ww_tap
         + w_tap * moments.p_mixed_tap
         + moments.p_ll_tap
     )
-    return WireTerms(r, k, a0, a, _per_tap(moments, r) * a, _per_tap(moments, r * r) * p)
+    return WireTerms(
+        r, k, a0, a, r.take(stage, axis=0) * a, (r * r).take(stage, axis=0) * p
+    )
 
 
 def batched_tap_moments(
-    moments: TapMoments, driver_scales: np.ndarray, wire: WireTerms
+    moments: StackedTapMoments, driver_scales: np.ndarray, wire: WireTerms
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact (m1, m2) at every tap for a batch of driver scalings.
 
-    ``driver_scales`` has the shape of the scales ``wire`` was built from
-    (see :func:`wire_terms`).  The results are ``(M, taps)`` arrays for a
-    :class:`BaseTapMoments` and ``(taps, width)`` arrays for a
-    :class:`StackedTapMoments`, with m1 in ps and m2 in ps^2.
+    ``driver_scales`` has the ``(stages, width)`` shape of the scales
+    ``wire`` was built from (see :func:`wire_terms`).  The per-stage terms
+    are computed at stage width and gathered to the taps, so each stage uses
+    its own driver scale; the results are ``(taps, width)`` arrays, m1 in ps
+    and m2 in ps^2.
     """
+    stage = moments.tap_stage
     drv = moments.driver_resistance * driver_scales
     drv_r = drv * wire.r
-    m1 = OHM_FF_TO_PS * (_per_tap(moments, drv * wire.k) + wire.ra)
+    m1 = OHM_FF_TO_PS * ((drv * wire.k).take(stage, axis=0) + wire.ra)
     m2 = (OHM_FF_TO_PS**2) * (
-        _per_tap(moments, drv * drv * wire.k * wire.k + drv_r * wire.a0)
-        + _per_tap(moments, drv_r * wire.k) * wire.a
+        (drv * drv * wire.k * wire.k + drv_r * wire.a0).take(stage, axis=0)
+        + (drv_r * wire.k).take(stage, axis=0) * wire.a
         + wire.rrp
     )
     return m1, m2

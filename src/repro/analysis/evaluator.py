@@ -23,12 +23,21 @@ including evaluations of clones, probes and rolled-back snapshots, which
 share revisions with the tree they were copied from.
 
 For the analytical engines (``elmore``/``arnoldi``) each stage is reduced
-once per content revision to a few base vectors
-(:func:`repro.analysis.arnoldi.base_tap_moments`, built with numpy prefix
-sums over all segments at once) from which delays and slews at *every* corner
-and transition are produced in one batched array operation -- no per-corner
-network rebuilds.  The transient (``spice``) engine caches the per-corner
-stage networks and per-input-slew waveform analyses instead.
+once per content revision to a few base vectors from which delays and slews
+at *every* corner and transition follow -- no per-corner network rebuilds.
+The stages an evaluation misses in the cache are reduced in one stacked
+pass: their segment lists are packed into one padded ``(stages, segments)``
+array set and reduced with numpy prefix sums in one
+:func:`repro.analysis.arnoldi.base_tap_moments` call, then expanded over all
+corners and transitions in one stacked moment pass with ``(stages, M)``
+scale arrays.  Every row sees only its own stage's values, in the order a
+stage reduced alone would, so the result is bit-identical to reducing the
+stages one by one (``tests/analysis/test_stage_reduction.py``).  The
+reduction runs in :meth:`ClockNetworkEvaluator.evaluate` itself, ahead of
+the ``propagate`` span, so a trace separates reduction (``evaluate`` self
+time) from the arrival/slew walk (``propagate``).  The transient
+(``spice``) engine caches the per-corner stage networks and per-input-slew
+waveform analyses instead, and analyzes stages during the walk.
 
 Dirty-region propagation
 ------------------------
@@ -446,13 +455,8 @@ def _yield_plan(
     row_level = [level[index] for index in order]
     row_parent = [row_of_stage.get(parent[index], -1) for index in order]
     stacked = stack_tap_moments(row_moments)
-    tap_row: Dict[int, int] = {}
-    first_tap: List[int] = []
-    for stage_moments in row_moments:
-        first_tap.append(len(tap_row))
-        for tap in stage_moments.tap_ids:
-            tap_row[tap] = len(tap_row)
-    first_tap.append(len(tap_row))
+    tap_row = {tap: row for row, tap in enumerate(stacked.tap_ids)}
+    first_tap = stacked.tap_offsets
 
     rises: Dict[str, np.ndarray] = {}
     sinks: Dict[Tuple[str, str], np.ndarray] = {}
@@ -588,26 +592,22 @@ class StageCache:
         self._bound()
         self._tap_models[key] = model
 
-    def base_moments(self, key: tuple, count: bool = True) -> Optional[BaseTapMoments]:
+    def base_moments(self, key: tuple) -> Optional[BaseTapMoments]:
         """Cached corner-independent moment reduction of one stage.
 
-        Keys carry the stage content key plus the wire/load-split flag; the
-        entries are shared between :meth:`ClockNetworkEvaluator.evaluate`
-        (which turns them into per-corner tap models) and
-        :meth:`ClockNetworkEvaluator.evaluate_yield` (which scales them per
-        Monte Carlo sample), so a yield evaluation re-reduces only stages
-        whose RC content changed since any earlier evaluation of either kind.
-
-        ``count=False`` skips the hit/miss accounting: the nominal tap-model
-        path already counts once per stage lookup, and one re-analyzed stage
-        should keep counting as one miss.
+        Keys carry the stage content key plus the wire/load-split flag.
+        Every reduction stores its records here -- the tap-model misses of
+        :meth:`ClockNetworkEvaluator.evaluate` as well as the misses of
+        :meth:`ClockNetworkEvaluator.evaluate_yield` -- and the yield
+        evaluation reads them, scaling them per Monte Carlo sample, so it
+        re-reduces only stages whose RC content changed since any earlier
+        evaluation of either kind.
         """
         moments = self._base_moments.get(key)
-        if count:
-            if moments is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        if moments is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         return moments
 
     def store_base_moments(self, key: tuple, moments: BaseTapMoments) -> None:
@@ -729,9 +729,11 @@ class ClockNetworkEvaluator:
                 driver_scales.append(corner.driver_scale * asym)
                 res_scales.append(corner.wire_res_scale)
                 cap_scales.append(corner.wire_cap_scale)
-        # (M, 1) scale columns for batched_tap_moments / wire_terms.
-        self._combo_driver = np.array(driver_scales)[:, None]
-        self._combo_wire = (np.array(res_scales)[:, None], np.array(cap_scales)[:, None])
+        # (1, M) driver / wire-res / wire-cap scale rows, broadcast to
+        # (stages, M) for the stacked tap-model pass.
+        self._combo_scales = tuple(
+            np.array(scales)[None, :] for scales in (driver_scales, res_scales, cap_scales)
+        )
         # With no corner scaling wire capacitance (the ISPD'09 set), the
         # moment reduction can collapse wire and load caps into one component.
         self._split_caps = any(scale != 1.0 for scale in cap_scales)
@@ -809,6 +811,13 @@ class ClockNetworkEvaluator:
             # longer has to look up: credit them so hit rates stay comparable
             # with dirty_region disabled.
             self.cache.hits += total - len(recompute)
+        # Stage reduction runs here, outside the propagate span, so the span
+        # times the arrival/slew walk alone.
+        models = (
+            self._tap_models(tree, stages, keys, recompute)
+            if self.config.engine in ("elmore", "arnoldi")
+            else None
+        )
         with self.tracer.span("propagate") as prop_span:
             corner_results, fragments = self._propagate_corners(
                 tree,
@@ -816,6 +825,7 @@ class ClockNetworkEvaluator:
                 keys,
                 drivers,
                 tap_flags,
+                models,
                 recompute=recompute,
                 prior=prior,
                 collect=collect,
@@ -850,21 +860,22 @@ class ClockNetworkEvaluator:
         keys: List[Optional[_StageKey]],
         drivers: List[_Driver],
         tap_flags: Dict[int, Tuple[bool, bool]],
+        models: Optional[List[Optional[_TapModel]]],
         *,
         recompute: Optional[Set[int]],
         prior: Optional[_PropagationState],
         collect: bool,
     ) -> Tuple[Dict[str, CornerTiming], Dict[str, List[_StageFrag]]]:
-        """Analyze and propagate every corner (the ``propagate`` span body)."""
+        """Propagate every corner (the ``propagate`` span body).
+
+        ``models`` are the analytical engines' tap models from
+        :meth:`_tap_models`; the transient engine (``models=None``) analyzes
+        each stage during the walk, since its timing depends on the input
+        slew.
+        """
         fragments: Dict[str, List[_StageFrag]] = {}
         corner_results: Dict[str, CornerTiming] = {}
-        if self.config.engine in ("elmore", "arnoldi"):
-            models: List[Optional[_TapModel]] = [
-                None
-                if (recompute is not None and index not in recompute)
-                else self._tap_model(tree, stage, key)
-                for index, (stage, key) in enumerate(zip(stages, keys))
-            ]
+        if models is not None:
             for corner in self.corners:
                 prior_frags = prior.fragments[corner.name] if prior is not None else None
                 timing, frags = self._corner_from_models(
@@ -977,11 +988,19 @@ class ClockNetworkEvaluator:
         )
         draws = model.sample(samples, rng, positions=positions)
         split = self._split_caps or model.perturbs_wire_cap
-        moments = [
-            self._stage_base_moments(tree, stage, key, split)
-            for stage, key in zip(stages, keys)
-        ]
-        plan = _yield_plan(topo, moments, drivers)
+        moments: Dict[int, BaseTapMoments] = {}
+        for index, key in enumerate(keys):
+            cached = None if key is None else self.cache.base_moments((key, split))
+            if cached is not None:
+                moments[index] = cached
+        missed = [index for index in range(len(stages)) if index not in moments]
+        if missed:
+            reduced = self._reduce_stages(
+                tree, [stages[i] for i in missed], [keys[i] for i in missed], split
+            )
+            for row, index in enumerate(missed):
+                moments[index] = reduced.stage(row)
+        plan = _yield_plan(topo, [moments[i] for i in range(len(stages))], drivers)
         use_d2m = self.config.engine == "arnoldi"
 
         per_corner = {
@@ -1175,64 +1194,95 @@ class ClockNetworkEvaluator:
     # ------------------------------------------------------------------
     # Analytical engines: batched per-stage tap models
     # ------------------------------------------------------------------
-    def _tap_model(
-        self, tree: ClockTree, stage: Stage, key: Optional[_StageKey]
-    ) -> _TapModel:
-        """Per-stage ``{(corner, transition): {tap: (delay, sigma)}}`` mapping.
+    def _tap_models(
+        self,
+        tree: ClockTree,
+        stages: List[Stage],
+        keys: List[Optional[_StageKey]],
+        recompute: Optional[Set[int]],
+    ) -> List[Optional[_TapModel]]:
+        """Per-stage ``{(corner, transition): {tap: (delay, sigma)}}`` mappings.
 
-        ``delay`` is the wire delay from the driver switching instant and
-        ``sigma`` the intrinsic slew scale; both are independent of the input
-        transition, which enters only in the final PERI combination during
-        propagation -- that is what makes the cached model reusable no matter
-        how upstream stages change.
+        One model per stage the evaluation propagates (``None`` for retained
+        stages).  ``delay`` is the wire delay from the driver switching
+        instant and ``sigma`` the intrinsic slew scale; both are independent
+        of the input transition, which enters only in the final PERI
+        combination during propagation -- that is what makes a cached model
+        reusable no matter how upstream stages change.
+
+        Every stage whose model is not cached is reduced in one batched pass
+        (:meth:`_reduce_stages`) and expanded over all corners and
+        transitions in one stacked moment pass with ``(stages, M)`` scale
+        arrays.  The models hold Python floats, so the propagation walk does
+        plain float arithmetic.
         """
-        if key is not None:
-            cached = self.cache.tap_model(key)
-            if cached is not None:
-                return cached
-        moments = self._stage_base_moments(tree, stage, key, self._split_caps, count=False)
+        models: List[Optional[_TapModel]] = [None] * len(stages)
+        missed: List[int] = []
+        for index, key in enumerate(keys):
+            if recompute is not None and index not in recompute:
+                continue
+            cached = None if key is None else self.cache.tap_model(key)
+            if cached is None:
+                missed.append(index)
+            else:
+                models[index] = cached
+        if not missed:
+            return models
+        moments = self._reduce_stages(
+            tree, [stages[i] for i in missed], [keys[i] for i in missed], self._split_caps
+        )
+        driver, wire_res, wire_cap = (
+            np.repeat(row, len(missed), axis=0) for row in self._combo_scales
+        )
         m1, m2 = batched_tap_moments(
-            moments, self._combo_driver, wire_terms(moments, *self._combo_wire)
+            moments, driver, wire_terms(moments, wire_res, wire_cap)
         )
         delay, sigma = batched_delay_sigma(
             m1, m2, use_d2m=(self.config.engine == "arnoldi")
         )
-        model: _TapModel = {}
-        for row, combo in enumerate(self._combos):
-            delays = delay[row]
-            sigmas = sigma[row]
-            model[combo] = {
-                tap: (delays[column], sigmas[column])
-                for column, tap in enumerate(moments.tap_ids)
+        delays = delay.T.tolist()
+        sigmas = sigma.T.tolist()
+        offsets = moments.tap_offsets
+        for row, index in enumerate(missed):
+            t0 = offsets[row]
+            t1 = offsets[row + 1]
+            taps = moments.tap_ids[t0:t1]
+            model = {
+                combo: dict(zip(taps, zip(combo_delays[t0:t1], combo_sigmas[t0:t1])))
+                for combo, combo_delays, combo_sigmas in zip(self._combos, delays, sigmas)
             }
-        if key is not None:
-            self.cache.store_tap_model(key, model)
-        return model
+            models[index] = model
+            key = keys[index]
+            if key is not None:
+                self.cache.store_tap_model(key, model)
+        return models
 
-    def _stage_base_moments(
+    def _reduce_stages(
         self,
         tree: ClockTree,
-        stage: Stage,
-        key: Optional[_StageKey],
+        stages: List[Stage],
+        keys: List[Optional[_StageKey]],
         split: bool,
-        count: bool = True,
-    ) -> BaseTapMoments:
-        """The stage's corner-independent moment reduction, cached by content.
+    ) -> StackedTapMoments:
+        """Reduce the stages' RC content in one batched pass, caching each stage.
 
-        Shared by the per-corner tap models of :meth:`evaluate` and the Monte
-        Carlo batches of :meth:`evaluate_yield`, so whichever runs first pays
-        for the numpy reduction and the other reuses it for every stage whose
-        RC content is unchanged.
+        The one reduction entry of both :meth:`evaluate` (tap-model misses)
+        and :meth:`evaluate_yield` (base-moment misses): it builds every
+        stage's base network and reduces them all with one
+        :func:`~repro.analysis.arnoldi.base_tap_moments` call.  Each keyed
+        stage's record is cached by content, so a later yield evaluation
+        re-reduces only stages whose RC content changed.
         """
-        cache_key = (key, split) if key is not None else None
-        if cache_key is not None:
-            cached = self.cache.base_moments(cache_key, count=count)
-            if cached is not None:
-                return cached
-        base = build_base_stage_network(tree, stage, self.config.max_segment_length)
-        moments = base_tap_moments(base, split_wire_load=split)
-        if cache_key is not None:
-            self.cache.store_base_moments(cache_key, moments)
+        moments = base_tap_moments(
+            [
+                build_base_stage_network(tree, stage, self.config.max_segment_length)
+                for stage in stages
+            ],
+            split_wire_load=split,
+        )
+        for row, key in enumerate(keys):
+            if key is not None:
+                self.cache.store_base_moments((key, split), moments.stage(row))
         return moments
 
     def _corner_from_models(

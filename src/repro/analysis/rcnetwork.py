@@ -280,63 +280,69 @@ def build_stage_network(
 
 @dataclass
 class BaseStageNetwork:
-    """Corner-independent lumped RC arrays of one stage, in DFS preorder.
+    """Corner-independent lumped RC content of one stage, in DFS preorder.
 
-    This is the vectorized counterpart of :class:`StageNetwork`: wire
-    resistances and capacitances are stored *unscaled* (nominal corner) as
-    numpy arrays, so a timing engine can apply any number of corner /
-    transition scalings as batched array arithmetic instead of rebuilding the
-    network per corner.  Capacitance is kept in two components because
-    corners scale them differently: ``wire_capacitance`` (subject to
-    ``wire_cap_scale``) and ``load_capacitance`` (sink pins, tap buffer
-    input pins and the driver's output cap -- never corner-scaled, matching
-    :func:`build_stage_network`).  Network nodes are guaranteed to be in DFS
-    preorder (parents before children, subtrees contiguous);
-    ``subtree_end[i]`` is the exclusive end of node ``i``'s subtree interval,
-    which makes subtree aggregations (downstream capacitance,
-    capacitance-weighted moments) plain prefix-sum differences and
-    root-to-node path sums a scatter-add plus one cumulative sum -- no
-    per-node Python loops.
+    This is the batched counterpart of :class:`StageNetwork`: wire
+    resistances and capacitances are stored *unscaled* (nominal corner), so
+    a timing engine can apply any number of corner / transition scalings as
+    batched array arithmetic instead of rebuilding the network per corner.
+    Capacitance is kept in two components because corners scale them
+    differently: ``wire_capacitance`` (subject to ``wire_cap_scale``) and
+    ``load_capacitance`` (sink pins, tap buffer input pins and the driver's
+    output cap -- never corner-scaled, matching :func:`build_stage_network`).
+    Network nodes are in DFS preorder (parents before children, subtrees
+    contiguous); ``subtree_end[i]`` is the exclusive end of node ``i``'s
+    subtree interval, which makes subtree aggregations (downstream
+    capacitance, capacitance-weighted moments) prefix-sum differences and
+    root-to-node path sums a scatter-add plus one cumulative sum (see
+    :func:`subtree_interval_sums` and :func:`path_sums`).  The fields are
+    plain lists: :func:`repro.analysis.arnoldi.base_tap_moments` packs the
+    stages of one batch into padded arrays with one ``np.array`` call per
+    quantity.
     """
 
-    parent: np.ndarray
-    resistance: np.ndarray
-    wire_capacitance: np.ndarray
-    load_capacitance: np.ndarray
-    subtree_end: np.ndarray
+    resistance: List[float]
+    wire_capacitance: List[float]
+    load_capacitance: List[float]
+    subtree_end: List[int]
     tap_ids: List[int]
-    tap_indices: np.ndarray
+    tap_indices: List[int]
     driver_resistance: float
-    total_capacitance: float
 
     @property
     def size(self) -> int:
-        return len(self.parent)
+        return len(self.resistance)
 
 
 def subtree_interval_sums(values: np.ndarray, subtree_end: np.ndarray) -> np.ndarray:
-    """Per-node sums of ``values`` over each node's subtree (vectorized).
+    """Per-node sums of ``values`` over each node's subtree, for every row.
 
-    Requires DFS-preorder indexing with ``subtree_end`` intervals, as built by
-    :func:`build_base_stage_network`.
+    ``values`` holds one DFS-preorder stage per row, zero-padded with at
+    least one trailing column; ``subtree_end`` holds each node's exclusive
+    subtree end as a flat index into ``values`` (row offset included).  Each
+    row's prefix sum runs over that row only.
     """
-    prefix = np.concatenate(([0.0], np.cumsum(values)))
-    return prefix[subtree_end] - prefix[: len(values)]
+    shifted = np.concatenate((np.zeros((len(values), 1)), values[:, :-1]), axis=1)
+    prefix = shifted.cumsum(axis=1)
+    return prefix.take(subtree_end) - prefix
 
 
 def path_sums(values: np.ndarray, subtree_end: np.ndarray) -> np.ndarray:
-    """Per-node sums of ``values`` over the root-to-node path (vectorized).
+    """Per-node sums of ``values`` over the root-to-node path, for every row.
 
     Node ``j`` contributes to node ``i`` exactly when ``i`` lies in ``j``'s
     subtree interval ``[j, subtree_end[j])``, so scattering ``+values[j]`` at
     ``j`` and ``-values[j]`` at ``subtree_end[j]`` turns the path sum into one
     cumulative sum over the difference array.  The scatter uses ``bincount``
-    (duplicate interval ends accumulate) rather than ``np.subtract.at``,
-    which is an order of magnitude slower on small arrays.
+    on the flat ``subtree_end`` indices of :func:`subtree_interval_sums`
+    (duplicate interval ends accumulate, in row order) rather than
+    ``np.subtract.at``, which is an order of magnitude slower on small
+    arrays.
     """
-    n = len(values)
-    removal = np.bincount(subtree_end, weights=values, minlength=n + 1)[:n]
-    return np.cumsum(values - removal)
+    removal = np.bincount(
+        subtree_end.ravel(), weights=values.ravel(), minlength=values.size
+    )
+    return np.cumsum(values - removal.reshape(values.shape), axis=1)
 
 
 def build_base_stage_network(
@@ -347,15 +353,15 @@ def build_base_stage_network(
     """Build the corner-independent lumped RC network of a stage.
 
     Performs the same segmentation as :func:`build_stage_network` at the
-    nominal corner, but returns numpy arrays in DFS preorder together with
-    the subtree intervals needed by the vectorized engines.  Corner scalings
-    (wire RC, driver strength, rise/fall asymmetry) are applied later by the
-    engines as batched scalar multiplies; wire and load capacitance are kept
-    separate so that ``wire_cap_scale`` touches only the wire component,
-    exactly as in the per-corner builder.  The only (deliberate) deviation:
-    the tiny regularization resistance of zero-length connections is scaled
-    by ``wire_res_scale`` here but not in :func:`build_stage_network` --
-    a sub-femtosecond effect.
+    nominal corner, but returns the segment lists in DFS preorder together
+    with the subtree intervals needed by the batched reduction.  Corner
+    scalings (wire RC, driver strength, rise/fall asymmetry) are applied
+    later by the engines as batched scalar multiplies; wire and load
+    capacitance are kept separate so that ``wire_cap_scale`` touches only the
+    wire component, exactly as in :func:`build_stage_network`.  The only
+    (deliberate) deviation: the tiny regularization resistance of
+    zero-length connections is scaled by ``wire_res_scale`` here but not in
+    :func:`build_stage_network` -- a sub-femtosecond effect.
     """
     driver_node = tree.node(stage.driver_id)
     driver_buffer = driver_node.buffer
@@ -403,15 +409,13 @@ def build_base_stage_network(
 
     tap_ids = list(stage.taps)
     return BaseStageNetwork(
-        parent=np.asarray(parent, dtype=np.int32),
-        resistance=np.asarray(resistance),
-        wire_capacitance=np.asarray(wire_cap),
-        load_capacitance=np.asarray(load_cap),
-        subtree_end=np.asarray(subtree_end, dtype=np.int32),
+        resistance=resistance,
+        wire_capacitance=wire_cap,
+        load_capacitance=load_cap,
+        subtree_end=subtree_end,
         tap_ids=tap_ids,
-        tap_indices=np.asarray([tree_to_net[t] for t in tap_ids], dtype=np.int32),
+        tap_indices=[tree_to_net[t] for t in tap_ids],
         driver_resistance=base_res,
-        total_capacitance=float(sum(wire_cap) + sum(load_cap)),
     )
 
 
@@ -460,7 +464,5 @@ def _add_edge_segments(
         # The far half of the segment cap belongs to the new node; the near
         # half belongs to its parent.
         capacitance[current_parent] += seg_cap / 2.0
-        # Re-balance: we added the full cap as half to each side already.
-        capacitance[last_index] += 0.0
         current_parent = last_index
     return last_index

@@ -76,6 +76,10 @@ __all__ = ["NodeKind", "Sink", "TreeNode", "ClockTree", "TreeValidationError"]
 #: revisions are unique across clones and independently built trees alike.
 _REVISIONS = itertools.count(1)
 
+#: One node's share of the tree totals: (wire capacitance, buffer capacitance,
+#: sink capacitance, edge length).
+_NodeTerms = Tuple[float, float, float, float]
+
 
 class TreeValidationError(RuntimeError):
     """Raised by :meth:`ClockTree.validate` when a structural invariant is broken."""
@@ -193,6 +197,10 @@ class ClockTree:
         self._journal: List[tuple] = []
         self._checkpoints: List[int] = []
         self._journaled: List[set] = []
+        # Tree-total memo (see _totals): node terms by revision, shared with
+        # clones, and the totals themselves until the next content change.
+        self._terms: Dict[int, _NodeTerms] = {}
+        self._totals_memo: Optional[Tuple[float, float]] = None
         self.root_id = self._new_node(source_position, NodeKind.SOURCE, parent=None)
 
     # ------------------------------------------------------------------
@@ -207,6 +215,7 @@ class ClockTree:
         self._next_id += 1
         self._nodes[node_id] = TreeNode(node_id=node_id, position=position, kind=kind, parent=parent)
         self._node_revision[node_id] = next(_REVISIONS)
+        self._totals_memo = None
         if self._checkpoints:
             self._journal.append(("create", node_id))
         return node_id
@@ -246,6 +255,7 @@ class ClockTree:
         bespoke geometry surgery) so that incremental consumers stay sound.
         """
         self._node_revision[node_id] = next(_REVISIONS)
+        self._totals_memo = None
 
     def touch_structure(self) -> None:
         """Mark the tree topology / buffer-site set as changed."""
@@ -279,6 +289,7 @@ class ClockTree:
         :meth:`copy_state_from` restore, at O(touched nodes) cost.
         """
         self._pop_checkpoint(token)
+        self._totals_memo = None
         while len(self._journal) > token:
             entry = self._journal.pop()
             kind = entry[0]
@@ -525,7 +536,7 @@ class ClockTree:
 
     def total_wirelength(self) -> float:
         """Total electrical wirelength (including snaking) in micrometres."""
-        return sum(n.edge_length() for n in self._nodes.values() if n.parent is not None)
+        return self._totals()[1]
 
     def total_wire_capacitance(self) -> float:
         return sum(self.edge_capacitance(n.node_id) for n in self._nodes.values())
@@ -540,24 +551,48 @@ class ClockTree:
     def total_capacitance(self) -> float:
         """Total switched capacitance: wires + buffers + sinks (the power proxy).
 
-        One fused pass over the node table.  The three components accumulate
-        separately and in node-table order, so the result is bit-identical to
-        summing :meth:`total_wire_capacitance`, :meth:`total_buffer_capacitance`
-        and :meth:`total_sink_capacitance` -- this method sits on the hot path
-        of every evaluation, where three separate generator sweeps were a
-        measurable fraction of a warm (dirty-region) evaluation.
+        The three components accumulate separately and in node-table order,
+        so the result is bit-identical to summing
+        :meth:`total_wire_capacitance`, :meth:`total_buffer_capacitance` and
+        :meth:`total_sink_capacitance`.
         """
+        return self._totals()[0]
+
+    def _totals(self) -> Tuple[float, float]:
+        """(total capacitance, total wirelength), memoized.
+
+        Both totals sit on the hot path of every evaluation.  A revision
+        identifies a node's content across clones and rollbacks (see the
+        module docstring), so each node's terms are computed once per
+        revision, in a memo shared with clones; the sums still run over
+        every node, sequentially in node-table order, exactly as a fresh
+        walk would.  The totals themselves are kept until the next change
+        to a node revision or to the node table.
+        """
+        if self._totals_memo is not None:
+            return self._totals_memo
+        memo = self._terms
+        revisions = self._node_revision
         wire = 0.0
         buffers = 0.0
         sinks = 0.0
-        for node in self._nodes.values():
-            if node.parent is not None and node.wire_type is not None:
-                wire += node.wire_type.capacitance(node.route_length() + node.snake_length)
-            if node.buffer is not None:
-                buffers += node.buffer.total_cap
-            if node.sink is not None and node.is_sink:
-                sinks += node.sink.capacitance
-        return wire + buffers + sinks
+        lengths: List[float] = []
+        for node_id, node in self._nodes.items():
+            revision = revisions[node_id]
+            terms = memo.get(revision)
+            if terms is None:
+                terms = memo[revision] = _node_terms(node)
+            wire += terms[0]
+            buffers += terms[1]
+            sinks += terms[2]
+            lengths.append(terms[3])
+        if len(memo) > 2 * len(lengths):
+            # Drop the terms of superseded revisions (into a fresh dict:
+            # clones may still share the old one).
+            live = map(revisions.__getitem__, self._nodes)
+            self._terms = {revision: memo[revision] for revision in live}
+        self._totals_memo = (wire + buffers + sinks, sum(lengths))
+        return self._totals_memo
 
     def buffer_count(self) -> int:
         return sum(1 for n in self._nodes.values() if n.buffer is not None)
@@ -718,6 +753,8 @@ class ClockTree:
         self.journal_node(node_id)
         self._nodes[node.parent].children.remove(node_id)
         node.parent = None
+        # Losing the parent edge changes the node's electrical content.
+        self.touch(node_id)
         self.touch_structure()
 
     def attach_subtree(
@@ -779,6 +816,7 @@ class ClockTree:
         for removed_id in removed:
             del self._nodes[removed_id]
             del self._node_revision[removed_id]
+        self._totals_memo = None
         self.touch_structure()
         return removed
 
@@ -837,6 +875,8 @@ class ClockTree:
         twin.root_id = self.root_id
         twin._node_revision = dict(self._node_revision)
         twin._structure_revision = self._structure_revision
+        twin._terms = self._terms
+        twin._totals_memo = self._totals_memo
         # Checkpoints do not transfer: the clone starts transaction-free.
         twin._journal = []
         twin._checkpoints = []
@@ -865,6 +905,7 @@ class ClockTree:
         self.root_id = other.root_id
         self._node_revision = dict(other._node_revision)
         self._structure_revision = other._structure_revision
+        self._totals_memo = other._totals_memo
 
     # ------------------------------------------------------------------
     # Validation
@@ -911,6 +952,25 @@ class ClockTree:
             "wirelength_um": self.total_wirelength(),
             "total_capacitance_fF": self.total_capacitance(),
         }
+
+
+def _node_terms(node: TreeNode) -> _NodeTerms:
+    """A node's (wire cap, buffer cap, sink cap, edge length) share of the totals.
+
+    A term the totals skip -- the edge of a parentless node, a wire without
+    a wire type, an absent buffer or sink -- is +0.0.  The running sums
+    start at +0.0 and never become -0.0, so adding +0.0 leaves them
+    bit-for-bit unchanged.
+    """
+    wire = 0.0
+    length = 0.0
+    if node.parent is not None:
+        length = node.route_length() + node.snake_length
+        if node.wire_type is not None:
+            wire = node.wire_type.capacitance(length)
+    buffer = 0.0 if node.buffer is None else node.buffer.total_cap
+    sink = node.sink.capacitance if node.sink is not None and node.is_sink else 0.0
+    return (wire, buffer, sink, length)
 
 
 def _copy_node(node: TreeNode) -> TreeNode:

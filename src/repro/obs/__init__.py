@@ -5,7 +5,9 @@ package (including the strict-typed leaves) can use them without cycles:
 
 * :mod:`repro.obs.trace` -- :class:`Tracer` produces one nested span tree per
   job (``flow`` -> ``pass`` -> ``ivc_round`` -> ``evaluate`` ->
-  ``propagate``) with per-span counters;
+  ``propagate``) with per-span counters; an ``evaluate`` span's self time
+  is the stage reduction and its ``propagate`` child the arrival/slew walk
+  alone;
   :data:`NULL_TRACER` is the shared disabled tracer whose spans are cached
   no-ops, so instrumentation left in place costs one attribute check on the
   hot paths.  :func:`trace_artifact` / :func:`write_trace` /

@@ -158,10 +158,8 @@ def reference_yield(evaluator, tree, model, samples, rng):
     )
     draws = model.sample(samples, rng, positions=positions)
     split = evaluator._split_caps or model.perturbs_wire_cap
-    moments = [
-        evaluator._stage_base_moments(tree, stage, key, split)
-        for stage, key in zip(stages, keys)
-    ]
+    reduced = evaluator._reduce_stages(tree, stages, keys, split)
+    moments = [reduced.stage(index) for index in range(len(stages))]
     tap_flags = {}
     for stage in stages:
         for tap in stage.taps:
